@@ -25,17 +25,11 @@ Fault surfaces:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.canonical import unit_draw
 from repro.errors import ConfigurationError
-
-
-def _draw(seed: int, kind: str, index: Any) -> float:
-    """A uniform [0, 1) variate that is a pure function of its inputs."""
-    digest = hashlib.sha256(f"{seed}:{kind}:{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
 
 
 def _check_rate(name: str, value: float) -> None:
@@ -183,7 +177,7 @@ class FleetFaultInjector:
         plan = self.plan
         hit = batch_index in plan.kill_worker_batches
         if not hit and plan.kill_worker_rate > 0.0:
-            hit = (_draw(plan.seed, "kill-worker", batch_index)
+            hit = (unit_draw(f"{plan.seed}:kill-worker:{batch_index}")
                    < plan.kill_worker_rate)
         if hit:
             self.worker_kills += 1
@@ -204,8 +198,9 @@ class FleetFaultInjector:
             self._dropped_once = True
             hit = True
         elif plan.drop_connection_rate > 0.0:
-            hit = (_draw(plan.seed, f"drop-connection:{connection_index}",
-                         frame_index) < plan.drop_connection_rate)
+            hit = (unit_draw(f"{plan.seed}:drop-connection:"
+                             f"{connection_index}:{frame_index}")
+                   < plan.drop_connection_rate)
         if hit:
             self.connection_drops += 1
         return hit

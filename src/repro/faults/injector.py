@@ -16,11 +16,11 @@ and the :class:`InjectedStats` tally.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING
 
+from repro.canonical import unit_draw
 from repro.faults.plan import FaultPlan
 
 if TYPE_CHECKING:
@@ -98,9 +98,7 @@ class BootFaultInjector:
         sha256 of the textual key: stable across processes and Python
         hash randomization, and independent of draw order.
         """
-        digest = hashlib.sha256(
-            repr((self.plan.seed, stream, key)).encode()).digest()
-        return int.from_bytes(digest[:8], "big") / 2.0**64
+        return unit_draw(repr((self.plan.seed, stream, key)))
 
     # ------------------------------------------------------------- storage
 

@@ -7,7 +7,7 @@ paths, and peripheral settle flakiness.  Plans are pure data — frozen
 dataclasses of ints, floats, and glob patterns — so they
 
 * pickle across worker processes like any other :class:`SimJob` field,
-* encode canonically (see :func:`repro.runner.jobs.canonical_repr`) and
+* encode canonically (see :func:`repro.canonical.canonical_repr`) and
   therefore participate in job fingerprints: a faulted run is cached and
   deduplicated exactly like a healthy one,
 * are reproducible: every probabilistic decision an injector makes is

@@ -26,8 +26,7 @@ chunked submission).  ``repro fleet serve|submit|status|campaign`` is
 the CLI.
 """
 
-from repro.fleet.campaign import (CampaignResult, build_specs,
-                                  canonical_campaign_bytes, run_external)
+from repro.fleet.campaign import CampaignResult, build_specs, run_external
 from repro.fleet.campaign import run as run_campaign
 from repro.fleet.client import (FleetClient, RetryPolicy,
                                 SubmissionOutcome, backoff_schedule)
@@ -53,7 +52,6 @@ __all__ = [
     "WorkerShard",
     "backoff_schedule",
     "build_specs",
-    "canonical_campaign_bytes",
     "job_from_spec",
     "run_campaign",
     "run_external",

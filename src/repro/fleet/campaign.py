@@ -21,17 +21,16 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.report import format_table
+from repro.canonical import canonical_bytes, canonical_json
 from repro.errors import FleetError
 from repro.fleet.client import FleetClient, RetryPolicy
 from repro.fleet.resources import ResourcePolicy
 from repro.fleet.service import FleetService
-from repro.runner.branch import canonical_bytes
 from repro.runner.sweep import SweepRunner
 from repro.fleet.protocol import job_from_spec
 
@@ -134,36 +133,15 @@ class CampaignResult:
     quarantined: int = 0
 
 
-async def _run_campaign(specs: list[dict[str, Any]],
-                        policy: ResourcePolicy,
-                        batch_size: int,
-                        journal_dir: str | None = None
-                        ) -> tuple[Any, dict[str, Any]]:
-    service = FleetService(port=0, policy=policy, batch_size=batch_size,
-                           journal_dir=journal_dir)
-    host, port = await service.start()
-    try:
-        async with FleetClient(host, port) as client:
-            started = time.perf_counter()
-            outcome = await client.submit(specs)
-            wall_s = time.perf_counter() - started
-            status = await client.status()
-        await service.drain()
-        return (outcome, wall_s), status
-    finally:
-        if not service.draining:
-            await service.stop()
-
-
 def run(smoke: bool = False, total_jobs: int | None = None,
         max_workers: int | None = None,
         batch_size: int = 16,
         journal_dir: str | None = None) -> CampaignResult:
     """Run the campaign end to end; see :class:`CampaignResult`.
 
-    The identity oracle replays every unique fingerprint through a
-    fresh serial ``SweepRunner`` (separate caches, separate processes)
-    and compares canonical bytes against the streamed payloads.
+    Boots an in-process service on an ephemeral port and streams the
+    whole matrix through it as one submission, then checks the result
+    with the same serial identity oracle as :func:`run_external`.
     """
     from repro.runner.schedule import resolve_worker_count
 
@@ -171,68 +149,23 @@ def run(smoke: bool = False, total_jobs: int | None = None,
     policy = ResourcePolicy(
         min_workers=1,
         max_workers=resolve_worker_count(max_workers))
-    (outcome, wall_s), status = asyncio.run(
-        _run_campaign(specs, policy, batch_size, journal_dir))
 
-    # ---------------------------------------------------- identity oracle
-    unique: dict[str, Any] = {}
-    for spec in specs:
-        job, _ = job_from_spec(spec)
-        unique.setdefault(job.fingerprint(), job)
-    serial_started = time.perf_counter()
-    with SweepRunner(jobs=1) as serial_runner:
-        serial_results = serial_runner.run(list(unique.values()))
-    serial_wall_s = time.perf_counter() - serial_started
-    serial_bytes = {fingerprint: canonical_bytes(result)
-                    for fingerprint, result
-                    in zip(unique, serial_results)}
+    async def _in_process() -> tuple[RemoteOutcome, float]:
+        service = FleetService(port=0, policy=policy, batch_size=batch_size,
+                               journal_dir=journal_dir)
+        host, port = await service.start()
+        try:
+            started = time.perf_counter()
+            outcome = await _drive(host, port, [specs])
+            wall_s = time.perf_counter() - started
+            await service.drain()
+            return outcome, wall_s
+        finally:
+            if not service.draining:
+                await service.stop()
 
-    mismatches: list[str] = []
-    for index, message in sorted(outcome.errors.items()):
-        mismatches.append(f"job {index}: streamed error: {message}")
-    for index, (fingerprint, payload) in enumerate(
-            zip(outcome.fingerprints, outcome.payloads)):
-        expected = serial_bytes.get(fingerprint)
-        if expected is None:
-            mismatches.append(f"job {index}: fleet fingerprint "
-                              f"{fingerprint[:12]} absent from the "
-                              f"serial replay")
-        elif payload != expected:
-            mismatches.append(f"job {index}: fleet payload differs from "
-                              f"the serial replay ({fingerprint[:12]})")
-    if len(outcome.payloads) != specs_expanded_total(specs):
-        mismatches.append(
-            f"delivered {len(outcome.payloads)} results for "
-            f"{specs_expanded_total(specs)} submitted jobs")
-
-    scheduler = status.get("scheduler", {})
-    pool = status.get("pool", {})
-    journal = status.get("journal", {})
-    resilience = status.get("resilience", {})
-    resumed = int(journal.get("resumed", 0))
-    retries = max(0, getattr(outcome, "attempts", 1) - 1)
-    return CampaignResult(
-        total_jobs=outcome.total,
-        unique_jobs=len(unique),
-        executed=int(scheduler.get("dispatched", 0)),
-        cache_hits=int(scheduler.get("cache_hits", 0)),
-        coalesced=int(scheduler.get("coalesced", 0)),
-        wall_s=wall_s,
-        jobs_per_min=(outcome.total / wall_s * 60.0) if wall_s else 0.0,
-        identical=not mismatches,
-        mismatches=mismatches,
-        serial_wall_s=serial_wall_s,
-        peak_workers=int(pool.get("peak_workers", 0)),
-        scaled_up=int(pool.get("scaled_up", 0)),
-        scaled_down=int(pool.get("scaled_down", 0)),
-        smoke=smoke,
-        status=status,
-        provenance="resumed" if (resumed or retries) else "fresh",
-        resumed_jobs=resumed,
-        client_retries=retries,
-        requeued=int(resilience.get("requeued", 0)),
-        quarantined=int(resilience.get("quarantined", 0)),
-    )
+    outcome, wall_s = asyncio.run(_in_process())
+    return _campaign_result(specs, outcome, wall_s, smoke)
 
 
 def specs_expanded_total(specs: list[dict[str, Any]]) -> int:
@@ -263,12 +196,6 @@ def campaign_report(total: int, fingerprints: list[str],
     }
 
 
-def canonical_campaign_bytes(report: dict[str, Any]) -> bytes:
-    """Canonical encoding of :func:`campaign_report` for byte-identity."""
-    return json.dumps(report, sort_keys=True,
-                      separators=(",", ":")).encode("ascii")
-
-
 def serial_campaign_bytes(specs: list[dict[str, Any]]
                           ) -> tuple[bytes, int]:
     """Canonical report of an *uninterrupted serial* run of ``specs``.
@@ -293,7 +220,7 @@ def serial_campaign_bytes(specs: list[dict[str, Any]]
     fingerprints = [fingerprint for fingerprint, _ in expanded]
     payloads = [by_fingerprint[fingerprint] for fingerprint in fingerprints]
     report = campaign_report(len(expanded), fingerprints, payloads, {})
-    return canonical_campaign_bytes(report), len(unique)
+    return canonical_json(report), len(unique)
 
 
 # ----------------------------------------------------- remote (client) mode
@@ -341,6 +268,43 @@ class RemoteOutcome:
                                self.payloads, self.errors)
 
 
+async def _drive(host: str, port: int,
+                 chunks: list[list[dict[str, Any]]],
+                 retry: RetryPolicy | None = None,
+                 connect_timeout: float | None = 5.0,
+                 read_timeout: float | None = None,
+                 priority: int = 0) -> RemoteOutcome:
+    """Submit ``chunks`` in order over one client and aggregate the
+    streams; every campaign mode runs through this driver."""
+    outcome = RemoteOutcome()
+    client = FleetClient(host, port, connect_timeout=connect_timeout,
+                         read_timeout=read_timeout)
+    try:
+        for number, chunk in enumerate(chunks):
+            result = await client.submit_with_retry(
+                chunk, priority=priority, sid=f"campaign-{number}",
+                policy=retry)
+            base = len(outcome.payloads)
+            for offset, message in sorted(result.errors.items()):
+                key = (f"{number}:server" if offset < 0
+                       else base + offset)
+                outcome.errors[key] = message
+            outcome.total += result.total
+            outcome.fingerprints.extend(result.fingerprints)
+            outcome.payloads.extend(result.payloads)
+            outcome.attempts += result.attempts
+            outcome.chunks += 1
+        try:
+            outcome.status = await client.status()
+        except FleetError:
+            await client.close()
+            await client.connect()
+            outcome.status = await client.status()
+    finally:
+        await client.close()
+    return outcome
+
+
 def run_remote(host: str, port: int,
                chunks: list[list[dict[str, Any]]],
                retry: RetryPolicy | None = None,
@@ -355,35 +319,9 @@ def run_remote(host: str, port: int,
     what it never saw acked, and the content-addressed cache makes both
     paths converge on identical bytes.
     """
-    async def _run() -> RemoteOutcome:
-        outcome = RemoteOutcome()
-        client = FleetClient(host, port, connect_timeout=connect_timeout,
-                             read_timeout=read_timeout)
-        try:
-            for number, chunk in enumerate(chunks):
-                result = await client.submit_with_retry(
-                    chunk, priority=priority, sid=f"campaign-{number}",
-                    policy=retry)
-                base = len(outcome.payloads)
-                for offset, message in sorted(result.errors.items()):
-                    key = (f"{number}:server" if offset < 0
-                           else base + offset)
-                    outcome.errors[key] = message
-                outcome.total += result.total
-                outcome.fingerprints.extend(result.fingerprints)
-                outcome.payloads.extend(result.payloads)
-                outcome.attempts += result.attempts
-                outcome.chunks += 1
-            try:
-                outcome.status = await client.status()
-            except FleetError:
-                await client.close()
-                await client.connect()
-                outcome.status = await client.status()
-        finally:
-            await client.close()
-        return outcome
-    return asyncio.run(_run())
+    return asyncio.run(_drive(host, port, chunks, retry=retry,
+                              connect_timeout=connect_timeout,
+                              read_timeout=read_timeout, priority=priority))
 
 
 def run_external(host: str, port: int, smoke: bool = False,
@@ -407,13 +345,22 @@ def run_external(host: str, port: int, smoke: bool = False,
                          connect_timeout=connect_timeout,
                          read_timeout=read_timeout)
     wall_s = time.perf_counter() - started
+    return _campaign_result(specs, outcome, wall_s, smoke)
 
+
+def _campaign_result(specs: list[dict[str, Any]], outcome: RemoteOutcome,
+                     wall_s: float, smoke: bool) -> CampaignResult:
+    """The identity oracle and result of one campaign run.
+
+    Replays every unique job through a fresh serial ``SweepRunner``
+    (separate caches, separate process) and requires the streamed
+    campaign report to be byte-identical to the serial one.
+    """
     serial_started = time.perf_counter()
     expected, unique_jobs = serial_campaign_bytes(specs)
     serial_wall_s = time.perf_counter() - serial_started
-    actual = canonical_campaign_bytes(outcome.report())
     mismatches: list[str] = []
-    if actual != expected:
+    if canonical_json(outcome.report()) != expected:
         mismatches.append(
             "campaign report is not byte-identical to the uninterrupted "
             "serial run")

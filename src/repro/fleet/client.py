@@ -17,6 +17,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator
 
+from repro.canonical import unit_draw
 from repro.errors import ConfigurationError, FleetError, ProtocolError
 from repro.fleet import protocol
 
@@ -41,9 +42,7 @@ def backoff_schedule(retries: int, base: float = 0.05, cap: float = 2.0,
     delays: list[float] = []
     for attempt in range(retries):
         ceiling = min(cap, base * (2 ** attempt))
-        digest = hashlib.sha256(
-            f"fleet-backoff:{seed}:{attempt}".encode()).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2**64
+        unit = unit_draw(f"fleet-backoff:{seed}:{attempt}")
         delays.append(ceiling * (0.5 + 0.5 * unit))
     return delays
 

@@ -51,6 +51,7 @@ import hashlib
 import json
 from typing import Any, Callable
 
+from repro.canonical import canonical_json
 from repro.core.config import BBConfig
 from repro.errors import ProtocolError
 from repro.runner.jobs import SimJob
@@ -71,8 +72,7 @@ _SPEC_KEYS = frozenset({"kind", "workload", "bb", "cores", "fault",
 
 def encode_frame(message: dict[str, Any]) -> bytes:
     """One message -> one newline-terminated JSON line."""
-    return json.dumps(message, separators=(",", ":"),
-                      sort_keys=True).encode() + b"\n"
+    return canonical_json(message) + b"\n"
 
 
 def decode_frame(line: bytes) -> dict[str, Any]:
@@ -114,9 +114,8 @@ def submission_key(sid: str, specs: list[dict[str, Any]],
     different connections) still collapse only when they are genuinely
     the same work.
     """
-    body = json.dumps({"sid": sid, "specs": specs, "priority": priority},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+    body = canonical_json({"sid": sid, "specs": specs, "priority": priority})
+    return hashlib.sha256(body).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------- job specs

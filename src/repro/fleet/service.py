@@ -46,12 +46,12 @@ import signal
 import time
 from typing import Any
 
+from repro.canonical import canonical_bytes
 from repro.faults.fleet import FleetFaultInjector, FleetFaultPlan
 from repro.fleet import protocol
 from repro.fleet.journal import DEFAULT_CHECKPOINT_EVERY, JobJournal
 from repro.fleet.resources import ResourcePolicy
 from repro.fleet.workers import WorkerPool
-from repro.runner.branch import canonical_bytes
 from repro.runner.cache import ResultCache
 from repro.runner.schedule import JobScheduler, Ticket
 
@@ -65,7 +65,8 @@ PROGRESS_STEPS = 20
 
 
 class _Submission:
-    """Book-keeping for one ``op: submit`` frame on one connection."""
+    """Book-keeping for one submission: an ``op: submit`` frame on a
+    connection, or a journal entry resumed after a restart."""
 
     __slots__ = ("sid", "total", "delivered", "started", "next_progress",
                  "journal_key")
@@ -80,30 +81,23 @@ class _Submission:
         self.journal_key = journal_key
 
 
-class _ResumedSubmission:
-    """One journal-recovered submission being re-driven to completion."""
-
-    __slots__ = ("key", "client", "total", "delivered", "errors")
-
-    def __init__(self, key: str, client: str, total: int):
-        self.key = key
-        self.client = client
-        self.total = total
-        self.delivered = 0
-        self.errors = 0
-
-
 class _Connection:
-    """One client connection: its stream, submissions, and payload memory."""
+    """One client connection: its stream, submissions, and payload memory.
 
-    def __init__(self, key: str, writer: asyncio.StreamWriter,
+    A journal-resumed submission rides a connection without a stream
+    (``writer=None``): it is delivered through the same path, and its
+    frames go nowhere.
+    """
+
+    def __init__(self, key: str, writer: asyncio.StreamWriter | None,
                  chaos: FleetFaultInjector | None = None, index: int = 0):
         self.key = key
         self.writer = writer
         self.submissions: dict[str, _Submission] = {}
         self.ticket_meta: dict[int, tuple[str, int]] = {}  # id -> (sid, index)
         self.sent_payloads: set[str] = set()
-        self.closed = False
+        self.delivering = asyncio.Lock()
+        self.closed = writer is None
         self.chaos = chaos
         self.index = index
         self.frames_sent = 0
@@ -192,7 +186,7 @@ class FleetService:
         self.resumed_total = 0
         self.resumed_done = 0
         self._retry_counts: dict[str, int] = {}
-        self._resumed: dict[str, _ResumedSubmission] = {}
+        self._resumed: dict[str, _Connection] = {}
         self._journal_refs: dict[str, int] = {}
         self._batches_dispatched = 0
         self.draining = False
@@ -200,6 +194,7 @@ class FleetService:
         self.address: tuple[str, int] | None = None
         self._server: asyncio.AbstractServer | None = None
         self._supervisor: asyncio.Task | None = None
+        self._stopping = False
         self._batch_tasks: set[asyncio.Task] = set()
         self._client_tasks: set[asyncio.Task] = set()
         self._connections: dict[str, _Connection] = {}
@@ -218,17 +213,17 @@ class FleetService:
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
         self._supervisor = asyncio.create_task(self._supervise())
-        self._resume_journal()
+        await self._resume_journal()
         return self.address
 
-    def _resume_journal(self) -> None:
+    async def _resume_journal(self) -> None:
         """Resubmit every submission the journal says never finished.
 
-        Each open record is replayed under a synthetic ``journal:`` client
-        — results are re-executed (or cache-hit) and absorbed, and the
-        record is marked done only once every ticket resolves, so another
-        crash mid-recovery just resumes again.  Sorted keys keep recovery
-        order deterministic.
+        Each open record is replayed on a stream-less ``journal:``
+        connection — results are re-executed (or cache-hit) and delivered
+        nowhere, and the record is marked done only once every ticket
+        resolves, so another crash mid-recovery just resumes again.
+        Sorted keys keep recovery order deterministic.
         """
         if self.journal is None:
             return
@@ -248,28 +243,14 @@ class FleetService:
             if not jobs:
                 self.journal.record_done(key)
                 continue
-            client = f"journal:{key}"
-            self._resumed[client] = _ResumedSubmission(key, client,
-                                                      len(jobs))
+            connection = _Connection(f"journal:{key}", writer=None)
+            self._resumed[connection.key] = connection
             self._journal_retain(key)
             self.resumed_total += 1
-            for job in jobs:
-                self.scheduler.submit(client, job, priority=priority)
-            self._absorb_resumed(client)  # cache hits resolve instantly
+            self._enqueue(connection, _Submission(key, len(jobs), key),
+                          jobs, priority)
+            await self._deliver(connection)  # cache hits resolve instantly
         self._work_available.set()
-
-    def _absorb_resumed(self, client: str) -> None:
-        tracker = self._resumed.get(client)
-        if tracker is None:
-            return
-        for ticket in self.scheduler.drain(client):
-            tracker.delivered += 1
-            if ticket.error is not None:
-                tracker.errors += 1
-        if tracker.delivered >= tracker.total:
-            del self._resumed[client]
-            self.resumed_done += 1
-            self._journal_release(tracker.key)
 
     # Two submissions can share one journal content key — identical
     # (sid, specs, priority) triples from different connections collapse
@@ -306,47 +287,51 @@ class FleetService:
         await self._drained.wait()
 
     async def drain(self) -> None:
-        """Graceful shutdown: refuse new work, finish in-flight batches,
-        flush every client stream, stop the pool, close the server."""
+        """Graceful shutdown: refuse new work, let queued and in-flight
+        batches finish and flush, then tear down as :meth:`stop` does."""
         if self.draining:
             await self._drained.wait()
             return
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._close_server()
         # Let queued + in-flight work finish; dispatch keeps running.
         while not self.scheduler.idle or self._batch_tasks:
             self._work_available.set()
             await asyncio.sleep(0.02)
-        if self._supervisor is not None:
-            self._supervisor.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._supervisor
-        self.pool.shutdown(wait=True)
-        await self._close_connections()
-        if self.journal is not None:
-            # Clean drain: fold the (normally empty) open set into the
-            # checkpoint so the next serve starts from a compact journal.
-            self.journal.checkpoint()
-            self.journal.close()
-        self._drained.set()
+        await self._teardown(graceful=True)
 
     async def stop(self) -> None:
-        """Hard stop (tests): cancel everything, reap workers."""
+        """Hard stop (tests): cancel in-flight batches, then tear down."""
+        await self._close_server()
+        for task in list(self._batch_tasks):
+            task.cancel()
+        await self._teardown(graceful=False)
+
+    async def _close_server(self) -> None:
         self.draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for task in list(self._batch_tasks):
-            task.cancel()
+
+    async def _teardown(self, graceful: bool) -> None:
+        """The one shutdown sequence behind :meth:`drain` and :meth:`stop`.
+
+        The supervisor exits by seeing ``_stopping`` at the top of its
+        loop, never by ``cancel()``: on Python < 3.12 ``asyncio.wait_for``
+        swallows a cancel that lands just after its inner wait completed
+        (CPython gh-86296), so set-then-cancel could leave it running and
+        the shutdown awaiting it forever.
+        """
+        self._stopping = True
+        self._work_available.set()
         if self._supervisor is not None:
-            self._supervisor.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._supervisor
-        self.pool.shutdown(wait=False)
+            await self._supervisor
+        self.pool.shutdown(wait=graceful)
         await self._close_connections()
         if self.journal is not None:
+            if graceful:
+                # Fold the (normally empty) open set into the checkpoint
+                # so the next serve starts from a compact journal.
+                self.journal.checkpoint()
             self.journal.close()
         self._drained.set()
 
@@ -366,7 +351,7 @@ class FleetService:
     async def _supervise(self) -> None:
         """Dispatch loop + periodic autoscale/sampling."""
         last_sample = time.monotonic()
-        while True:
+        while not self._stopping:
             self._dispatch()
             now = time.monotonic()
             if now - last_sample >= self.sample_interval:
@@ -386,6 +371,7 @@ class FleetService:
             batch = self.scheduler.next_batch(self.batch_size)
             if not batch:
                 break
+            shard.claim()
             task = asyncio.create_task(self._run_batch(shard, batch))
             self._batch_tasks.add(task)
             task.add_done_callback(self._batch_tasks.discard)
@@ -436,47 +422,53 @@ class FleetService:
 
     async def _flush_clients(self, clients: list[str]) -> None:
         for key in clients:
-            if key in self._resumed:
-                self._absorb_resumed(key)
-                continue
-            connection = self._connections.get(key)
+            connection = self._connections.get(key, self._resumed.get(key))
             if connection is None:
                 self.scheduler.drain(key)  # discard: client is gone
                 continue
             await self._deliver(connection)
 
     async def _deliver(self, connection: _Connection) -> None:
-        """Stream every deliverable ticket, in submission order."""
-        for ticket in self.scheduler.drain(connection.key):
-            sid, index = connection.ticket_meta.pop(id(ticket), ("?", -1))
-            submission = connection.submissions.get(sid)
-            await connection.send(self._result_frame(connection, ticket,
-                                                     sid, index))
-            if submission is None:
-                continue
-            submission.delivered += 1
-            if (submission.delivered >= submission.next_progress
-                    and submission.delivered < submission.total):
-                submission.next_progress += max(
-                    1, submission.total // PROGRESS_STEPS)
-                await connection.send({
-                    "event": "progress", "id": sid,
-                    "done": submission.delivered,
-                    "total": submission.total,
-                })
-            if submission.delivered >= submission.total:
-                del connection.submissions[sid]
-                # Journal completion once every result is delivered; a
-                # crash on either side of the done frame is covered —
-                # before: the journal resumes it (all cache hits);
-                # after: the client's retry resubmits and cache-hits.
-                if submission.journal_key is not None:
-                    self._journal_release(submission.journal_key)
-                await connection.send({
-                    "event": "done", "id": sid, "total": submission.total,
-                    "elapsed_s": round(
-                        time.perf_counter() - submission.started, 6),
-                })
+        """Stream every deliverable ticket, in submission order.
+
+        One delivery per connection at a time: a flush that awaits a slow
+        stream must finish writing the tickets it drained before a later
+        flush writes the ones that became deliverable meanwhile.
+        """
+        async with connection.delivering:
+            for ticket in self.scheduler.drain(connection.key):
+                sid, index = connection.ticket_meta.pop(id(ticket), ("?", -1))
+                submission = connection.submissions.get(sid)
+                if not connection.closed:
+                    await connection.send(self._result_frame(
+                        connection, ticket, sid, index))
+                if submission is None:
+                    continue
+                submission.delivered += 1
+                if (submission.delivered >= submission.next_progress
+                        and submission.delivered < submission.total):
+                    submission.next_progress += max(
+                        1, submission.total // PROGRESS_STEPS)
+                    await connection.send({
+                        "event": "progress", "id": sid,
+                        "done": submission.delivered,
+                        "total": submission.total,
+                    })
+                if submission.delivered >= submission.total:
+                    del connection.submissions[sid]
+                    # Journal completion once every result is delivered; a
+                    # crash on either side of the done frame is covered —
+                    # before: the journal resumes it (all cache hits);
+                    # after: the client's retry resubmits and cache-hits.
+                    if submission.journal_key is not None:
+                        self._journal_release(submission.journal_key)
+                    if self._resumed.pop(connection.key, None) is not None:
+                        self.resumed_done += 1
+                    await connection.send({
+                        "event": "done", "id": sid, "total": submission.total,
+                        "elapsed_s": round(
+                            time.perf_counter() - submission.started, 6),
+                    })
 
     def _result_frame(self, connection: _Connection, ticket: Ticket,
                       sid: str, index: int) -> dict[str, Any]:
@@ -586,13 +578,24 @@ class FleetService:
             journal_key = protocol.submission_key(sid, specs, priority)
             self._journal_retain(journal_key)
             self.journal.record_submit(journal_key, sid, specs, priority)
-        submission = _Submission(sid, len(expanded), journal_key)
+        self._enqueue(connection, _Submission(sid, len(expanded), journal_key),
+                      expanded, priority)
+        await connection.send({"event": "ack", "id": sid,
+                               "jobs": len(expanded)})
+        self._work_available.set()
+        # Cache hits may already be deliverable.
+        await self._deliver(connection)
+
+    def _enqueue(self, connection: _Connection, submission: _Submission,
+                 jobs: list[Any], priority: int) -> None:
+        """Register ``submission`` on ``connection`` and queue its jobs."""
+        sid = submission.sid
         replaced = connection.submissions.get(sid)
         if replaced is not None and replaced.journal_key is not None:
             self._journal_release(replaced.journal_key)  # keep refs balanced
         connection.submissions[sid] = submission
         refused: dict[str, str] = {}
-        for index, job in enumerate(expanded):
+        for index, job in enumerate(jobs):
             ticket = self.scheduler.submit(connection.key, job,
                                            priority=priority)
             connection.ticket_meta[id(ticket)] = (sid, index)
@@ -603,11 +606,6 @@ class FleetService:
         # diagnosis instead of being handed back to a pool they kill.
         for fingerprint, diagnosis in refused.items():
             self.scheduler.fail(fingerprint, diagnosis)
-        await connection.send({"event": "ack", "id": sid,
-                               "jobs": len(expanded)})
-        self._work_available.set()
-        # Cache hits may already be deliverable.
-        await self._deliver(connection)
 
     # -------------------------------------------------------------- status
 

@@ -80,12 +80,21 @@ class WorkerShard:
             return pid
         return 0
 
-    async def run_batch(self, jobs: list[SimJob]) -> list[Any]:
-        """Execute ``jobs`` in the shard child; results positionally."""
+    def claim(self) -> None:
+        """Mark the shard busy for the batch about to be handed to it.
+
+        The dispatcher claims synchronously, before the batch's task
+        first runs, so neither the next dispatch pass nor a scale-down
+        in between can take the shard.
+        """
         if self.busy:
             raise FleetError(f"shard {self.shard_id} is already running "
                              f"a batch")
         self.busy = True
+
+    async def run_batch(self, jobs: list[SimJob]) -> list[Any]:
+        """Execute ``jobs`` in the shard child (claimed with :meth:`claim`);
+        results positionally.  Releases the claim when done."""
         loop = asyncio.get_running_loop()
         try:
             results = await loop.run_in_executor(

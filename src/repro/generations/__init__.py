@@ -18,7 +18,7 @@ from repro.generations.ota import (CORRUPT_IMAGE_PRESET,
                                    VERDICT_HEALTHY, VERDICT_REGRESSION,
                                    VERDICT_STAGE_FAILED,
                                    VERDICT_UNIT_FAILURE,
-                                   canonical_report_bytes, demo_baseline,
+                                   demo_baseline,
                                    demo_store, demo_target, device_ids,
                                    draw_update_fault, judge_summary,
                                    partition_waves, reference_boot_ms,
@@ -27,9 +27,7 @@ from repro.generations.ota import (CORRUPT_IMAGE_PRESET,
 from repro.generations.slots import (SLOT_A, SLOT_B, SlotState,
                                      check_slot_invariants)
 from repro.generations.store import (DEFAULT_REF, Generation,
-                                     GenerationStore,
-                                     canonical_generation_bytes,
-                                     diff_generations)
+                                     GenerationStore, diff_generations)
 
 __all__ = [
     "CORRUPT_IMAGE_PRESET",
@@ -45,8 +43,6 @@ __all__ = [
     "VERDICT_REGRESSION",
     "VERDICT_STAGE_FAILED",
     "VERDICT_UNIT_FAILURE",
-    "canonical_generation_bytes",
-    "canonical_report_bytes",
     "check_slot_invariants",
     "demo_baseline",
     "demo_store",

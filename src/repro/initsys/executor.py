@@ -20,9 +20,9 @@ Two hooks make this the substrate for BB's Service Engine:
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING, Callable
 
+from repro.canonical import unit_draw
 from repro.errors import UnitNotFoundError
 from repro.hw.storage import AccessPattern, StorageDevice
 from repro.initsys.transaction import EdgeKind, Job, JobState, OrderingEdge, Transaction
@@ -459,11 +459,9 @@ class JobExecutor:
         delay = (unit.restart_delay_ns
                  * unit.restart_backoff_factor ** (restart_number - 1))
         if self._restart_jitter:
-            digest = hashlib.sha256(repr(
-                (self._restart_seed, "restart-jitter", unit.name,
-                 restart_number)).encode()).digest()
-            unit_draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-            delay *= 1.0 + self._restart_jitter * (2.0 * unit_draw - 1.0)
+            draw = unit_draw(repr((self._restart_seed, "restart-jitter",
+                                   unit.name, restart_number)))
+            delay *= 1.0 + self._restart_jitter * (2.0 * draw - 1.0)
         return int(delay)
 
     def _attempt_with_watchdog(self, job: Job) -> "ProcessGenerator":

@@ -10,9 +10,9 @@ boot-then-suspend violates the EU 1 W standby regulation [9]).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
+from repro.canonical import unit_draw
 from repro.errors import KernelError
 from repro.hw.platform import HardwarePlatform
 from repro.quantities import msec, transfer_time_ns
@@ -111,9 +111,7 @@ def verify_snapshot(model: HibernationModel, platform: HardwarePlatform,
     read_bytes = round(model.image_bytes(platform) * checksum_fraction)
     verify_ns = checksum_overhead_ns + transfer_time_ns(
         read_bytes, platform.storage.seq_read_bps)
-    digest = hashlib.sha256(
-        repr((seed, "snapshot-corrupt")).encode()).digest()
-    draw = int.from_bytes(digest[:8], "big") / 2.0**64
+    draw = unit_draw(repr((seed, "snapshot-corrupt")))
     return SnapshotVerification(intact=draw >= corrupt_rate,
                                 verify_time_ns=verify_ns)
 

@@ -33,8 +33,8 @@ boots as ``SimJob``\\ s and submit them through a shared runner, so
 (workload, config, cores) twice.
 """
 
-from repro.runner.branch import (BranchRunner, BranchStats, canonical_bytes,
-                                 default_backend)
+from repro.canonical import canonical_bytes
+from repro.runner.branch import BranchRunner, BranchStats, default_backend
 from repro.runner.cache import CacheStats, ResultCache
 from repro.runner.jobs import (CheckpointSpec, SimJob, code_version,
                                execute_job, make_boot_simulation)

@@ -278,9 +278,10 @@ def bench_checkpoint(cells: int = 120,
     Both legs run serially (``jobs=1``) on fresh caches, so the measured
     ratio is purely the checkpoint/fork engine's doing — no process pool,
     no warm cache on either side.  Results are compared cell-by-cell via
-    :func:`~repro.runner.branch.canonical_bytes`.
+    :func:`~repro.canonical.canonical_bytes`.
     """
-    from repro.runner.branch import canonical_bytes, default_backend
+    from repro.canonical import canonical_bytes
+    from repro.runner.branch import default_backend
 
     backend = backend or default_backend()
     jobs = checkpoint_matrix(cells)

@@ -34,7 +34,6 @@ never lose a cell.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 import selectors
@@ -43,6 +42,7 @@ from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
 from typing import Any, Callable
 
+from repro.canonical import canonical_bytes  # noqa: F401 - public name
 from repro.errors import SimulationError
 from repro.runner.cache import ResultCache
 from repro.runner.jobs import SimJob, execute_job, make_boot_simulation
@@ -57,38 +57,6 @@ BACKEND_REPLAY = "replay"
 #: Cache-key namespace for prefix probes.  Job fingerprints are bare hex
 #: digests, so the ``probe:`` prefix can never collide with a result key.
 PROBE_KEY = "probe:"
-
-
-def canonical_bytes(value: Any) -> bytes:
-    """Canonical byte encoding of a result, for identity comparisons.
-
-    ``pickle.dumps`` alone is *not* canonical for values containing sets:
-    a frozenset's iteration order depends on its insertion history, so an
-    otherwise equal report that crossed a process boundary (fork pipe,
-    worker pool, disk cache) can re-pickle with its set elements permuted.
-    This helper rewrites sets as sorted tuples (recursively, through
-    dataclasses and containers) before pickling, making equal values
-    encode to equal bytes regardless of how many round-trips they took.
-    Dict order is preserved — it reflects deterministic event order and
-    *should* participate in the comparison.
-    """
-    return pickle.dumps(_canonical(value), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _canonical(value: Any) -> Any:
-    if isinstance(value, (set, frozenset)):
-        return ("__set__", tuple(sorted((_canonical(v) for v in value),
-                                        key=repr)))
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (type(value).__qualname__,
-                tuple((f.name, _canonical(getattr(value, f.name)))
-                      for f in dataclasses.fields(value)))
-    if isinstance(value, dict):
-        return ("__dict__", tuple((_canonical(k), _canonical(v))
-                                  for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return (type(value).__name__, tuple(_canonical(v) for v in value))
-    return value
 
 
 def default_backend() -> str:

@@ -16,14 +16,14 @@ result automatically.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.canonical import canonical_repr
 from repro.core.config import BBConfig
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
@@ -50,33 +50,6 @@ def code_version() -> str:
         digest.update(path.read_bytes())
         digest.update(b"\0")
     return digest.hexdigest()[:16]
-
-
-def canonical_repr(obj: Any) -> str:
-    """A process-independent textual encoding of ``obj``.
-
-    ``repr`` alone is not stable for sets of enum members (iteration order
-    follows identity hashes, which change per process), so containers are
-    sorted and enums/callables are encoded by name.
-    """
-    if isinstance(obj, enum.Enum):
-        return f"{type(obj).__qualname__}.{obj.name}"
-    if is_dataclass(obj) and not isinstance(obj, type):
-        inner = ",".join(
-            f"{f.name}={canonical_repr(getattr(obj, f.name))}"
-            for f in fields(obj))
-        return f"{type(obj).__qualname__}({inner})"
-    if isinstance(obj, (frozenset, set)):
-        return "{" + ",".join(sorted(canonical_repr(x) for x in obj)) + "}"
-    if isinstance(obj, dict):
-        items = sorted((canonical_repr(k), canonical_repr(v))
-                       for k, v in obj.items())
-        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
-    if isinstance(obj, (tuple, list)):
-        return "(" + ",".join(canonical_repr(x) for x in obj) + ")"
-    if callable(obj):
-        return f"{obj.__module__}:{obj.__qualname__}"
-    return repr(obj)
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,7 +8,7 @@ mixed matrix that exercises every branch path (the null cell, early and
 late divergence, no-divergence cells, degraded boots, non-branchable
 path faults) and compares every branched result against a from-scratch
 :func:`~repro.runner.jobs.execute_job` via
-:func:`~repro.runner.branch.canonical_bytes` — the canonical encoding
+:func:`~repro.canonical.canonical_bytes` — the canonical encoding
 that makes equal values encode equally even after a fork-pipe or worker
 pool round-trip permutes a frozenset's pickle layout.
 """
@@ -20,8 +20,9 @@ from typing import Callable
 from repro.core.config import BBConfig
 from repro.faults import (DeferredFault, FaultPlan, PathFault, ServiceFault,
                           SettleFault, StorageFault)
+from repro.canonical import canonical_bytes
 from repro.runner.branch import (BACKEND_FORK, BACKEND_REPLAY,
-                                 canonical_bytes, default_backend)
+                                 default_backend)
 from repro.runner.jobs import SimJob, execute_job
 from repro.runner.sweep import SweepRunner
 from repro.workloads import opensource_tv_workload

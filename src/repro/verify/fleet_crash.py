@@ -38,6 +38,7 @@ import threading
 import time
 from pathlib import Path
 
+from repro.canonical import canonical_json
 from repro.fleet import campaign
 from repro.fleet.client import RetryPolicy
 
@@ -164,7 +165,7 @@ def check_fleet_crash(smoke: bool = False) -> tuple[list[str], int, int]:
                 retry=RetryPolicy(retries=14, backoff_base=0.25,
                                   backoff_cap=2.0, seed=3),
                 connect_timeout=10.0, read_timeout=max(60.0, _DEADLINE_S))
-            actual = campaign.canonical_campaign_bytes(outcome.report())
+            actual = canonical_json(outcome.report())
 
             checks += 1
             if actual != expected:

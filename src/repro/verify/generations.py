@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import tempfile
 
-from repro.generations import (Generation, GenerationStore,
-                               canonical_report_bytes, demo_store,
+from repro.canonical import canonical_json
+from repro.generations import (Generation, GenerationStore, demo_store,
                                run_rollout)
 
 
@@ -44,8 +44,7 @@ def check_generation_identity(smoke: bool = False
             boots += 2 * sum(wave["unique_boots"]
                              for wave in serial["waves"])
             checks += 1
-            if (canonical_report_bytes(serial)
-                    != canonical_report_bytes(fleet)):
+            if canonical_json(serial) != canonical_json(fleet):
                 violations.append(
                     f"generation-identity/{kind}: fleet rollout report "
                     f"differs from the serial replay")

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.canonical import canonical_repr
 from repro.core import BBConfig
 from repro.errors import ConfigurationError
 from repro.faults import (DeferredFault, FaultPlan, ModuleFault, PathFault,
@@ -11,7 +12,6 @@ from repro.faults import (DeferredFault, FaultPlan, ModuleFault, PathFault,
                           build_preset)
 from repro.faults.presets import PRESETS
 from repro.runner import SimJob
-from repro.runner.jobs import canonical_repr
 from repro.workloads import opensource_tv_workload
 
 

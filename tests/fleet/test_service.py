@@ -7,11 +7,11 @@ through the fault-plan seed, and every service binds port 0.
 
 import asyncio
 
+from repro.canonical import canonical_bytes
 from repro.fleet import FleetClient, FleetService
 from repro.fleet.protocol import job_from_spec
 from repro.fleet.resources import ResourcePolicy
 from repro.runner import execute_job
-from repro.runner.branch import canonical_bytes
 
 
 def _spec(seed=1, **extra):

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.canonical import canonical_repr
 from repro.core import BBConfig, BootSimulation
 from repro.errors import SimulationError
 from repro.kernel.config import KernelConfig
 from repro.runner import SimJob, execute_job
-from repro.runner.jobs import canonical_repr
 from repro.workloads import opensource_tv_workload
 from repro.workloads.tizen_tv import perturbed_tv_workload
 
