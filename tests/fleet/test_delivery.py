@@ -1,9 +1,11 @@
-"""The submission tracker behind both delivery paths.
+"""The service's delivery path and the submission tracker behind it.
 
 A live submission streams ``progress`` frames at ``PROGRESS_STEPS``
 granularity and ends with ``done``; a journal-resumed submission is
 delivered through the same tracker with no stream attached and shows up
-in the journal section of ``status()``.
+in the journal section of ``status()``.  Results reach a connection in
+submission order even when flushes overlap, and a shard handed a batch
+is never retired before that batch runs.
 """
 
 import asyncio
