@@ -270,6 +270,130 @@ def test_spinlock_is_fifo_by_ticket():
     assert order == [0, 1, 2, 3]
 
 
+def test_spinlock_interrupted_mid_slice():
+    """An interrupt lands in the middle of a spin slice: the slice runs to
+    its end and counts as CPU time, but not as spin time, and the next
+    ticket still gets the lock."""
+    sim = Simulator(cores=2, switch_cost_ns=0)
+    lock = SpinLock(sim, acquire_cost_ns=0, spin_slice_ns=msec(1))
+    order = []
+    sampled = {}
+
+    def worker(name, delay, hold):
+        yield Timeout(delay)
+        yield from lock.acquire()
+        order.append((name, sim.now))
+        yield Timeout(hold)
+        lock.release()
+
+    def sample():
+        sampled["spin"] = lock.spin_time_ns
+        sampled["cpu"] = victim.cpu_time_ns
+        sampled["busy"] = sim.cpu.stats.busy_ns
+
+    sim.spawn(worker("holder", 0, msec(10)), name="holder")
+    victim = sim.spawn(worker("victim", 1, 0), name="victim")
+    sim.spawn(worker("third", 6_500_000, 0), name="third")
+    sim.call_at(5_500_000, lambda: sim.interrupt(victim))
+    sim.call_at(6_250_000, sample)
+    sim.run()
+    # Five whole spins, then the slice that was running at 5.5 ms.
+    assert sampled == {"spin": msec(5), "cpu": msec(6), "busy": msec(6)}
+    assert victim.finished_at_ns == msec(6) + 1
+    assert victim.cpu_time_ns == msec(6)
+    assert order == [("holder", 0), ("third", 10_500_000)]
+    assert lock.spin_time_ns == msec(9)
+    assert not lock._tickets
+    stats = sim.cpu.stats
+    assert (stats.busy_ns, stats.switch_ns, stats.dispatches,
+            stats.peak_runnable) == (msec(10), 0, 10, 1)
+
+
+def test_spinlock_slice_longer_than_quantum():
+    """A spin longer than the quantum is split into quanta that time-share
+    with other work; spin time grows once per completed spin."""
+    sim = Simulator(cores=1, switch_cost_ns=1_000, quantum_ns=msec(1))
+    lock = SpinLock(sim, acquire_cost_ns=0, spin_slice_ns=2_500_000)
+    order = []
+
+    def holder():
+        yield from lock.acquire()
+        yield Timeout(msec(6))
+        lock.release()
+
+    def spinner():
+        yield Timeout(1)
+        yield from lock.acquire()
+        order.append(("spinner", sim.now))
+        lock.release()
+
+    def other():
+        yield Timeout(2)
+        yield Compute(msec(3))
+        order.append(("other", sim.now))
+
+    sim.spawn(holder(), name="holder")
+    spinning = sim.spawn(spinner(), name="spinner")
+    sim.spawn(other(), name="other")
+    sim.run()
+    assert order == [("other", 5_506_001), ("spinner", 8_009_001)]
+    # Two whole spins of 2.5 ms, each dispatched as 1 + 1 + 0.5 ms.
+    assert lock.spin_time_ns == spinning.cpu_time_ns == 5_000_000
+    stats = sim.cpu.stats
+    assert (stats.busy_ns, stats.switch_ns, stats.dispatches,
+            stats.peak_runnable) == (msec(8), 9_000, 9, 2)
+
+
+def test_spinlock_priority_boost_takes_effect_at_slice_boundary():
+    """Boosting a spinner's priority does not move the run-queue entry it
+    already holds; the new priority applies from its next slice end on."""
+
+    def run(boost):
+        sim = Simulator(cores=1, switch_cost_ns=0, quantum_ns=msec(1))
+        lock = SpinLock(sim, acquire_cost_ns=0, spin_slice_ns=msec(1))
+        done = {}
+        innocent_cpu = []
+
+        def holder():
+            yield from lock.acquire()
+            yield Timeout(msec(20))
+            lock.release()
+
+        def spinner():
+            yield Timeout(1)
+            yield from lock.acquire()
+            done["spinner"] = sim.now
+            lock.release()
+
+        def innocent():
+            yield Timeout(2)
+            yield Compute(msec(10))
+            done["innocent"] = sim.now
+
+        def boost_spinner():
+            spinning.priority = 0
+
+        sim.spawn(holder(), name="holder")
+        spinning = sim.spawn(spinner(), name="spinner")
+        victim = sim.spawn(innocent(), name="innocent")
+        if boost:
+            sim.call_at(5_250_000, boost_spinner)
+        for at in (7_500_000, 19_500_000):
+            sim.call_at(at, lambda: innocent_cpu.append(victim.cpu_time_ns))
+        sim.run()
+        stats = sim.cpu.stats
+        return (done, innocent_cpu, lock.spin_time_ns, stats.dispatches,
+                stats.peak_runnable)
+
+    assert run(False) == ({"innocent": 20_000_001, "spinner": 21_000_001},
+                          [msec(3), msec(9)], msec(11), 21, 2)
+    # Boosted at 5.25 ms while queued: the innocent task keeps its turn
+    # (5-6 ms), the spinner's queued entry its old place (6-7 ms); from
+    # the spinner's 7 ms slice end on it holds the core until 20 ms.
+    assert run(True) == ({"spinner": 20_000_001, "innocent": 27_000_001},
+                         [msec(3), msec(3)], msec(17), 27, 2)
+
+
 def test_spinlock_try_acquire():
     sim = Simulator()
     lock = SpinLock(sim)

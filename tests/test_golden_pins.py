@@ -13,7 +13,10 @@ import dataclasses
 import hashlib
 import importlib
 
+import pytest
+
 from repro.core.config import BBConfig
+from repro.core.degraded import DegradedBootError
 from repro.faults.fleet import FleetFaultPlan
 from repro.faults.injector import BootFaultInjector
 from repro.faults.plan import (DeferredFault, FaultPlan, ServiceFault,
@@ -32,9 +35,11 @@ from repro.kernel.rcu import RCUSubsystem
 from repro.kernel.snapshot import HibernationModel, verify_snapshot
 from repro.quantities import msec
 from repro.runner.branch import canonical_bytes
-from repro.runner.jobs import KIND_BOOT, SimJob, canonical_repr
+from repro.runner.jobs import (KIND_BOOT, SimJob, canonical_repr, execute_job,
+                               make_boot_simulation)
 from repro.sim import Simulator
-from repro.workloads import opensource_tv_workload
+from repro.workloads import (WORKLOAD_FACTORIES, GeneratorParams,
+                             generate_workload, opensource_tv_workload)
 
 PLAN = FaultPlan(
     seed=11,
@@ -223,3 +228,173 @@ def test_backoff_schedule_draws():
     assert backoff_schedule(5, seed=7) == [
         0.03904951162378578, 0.05281510257310325, 0.18555376469492327,
         0.2417131792280535, 0.42747057306104275]
+
+
+# ------------------------------------------------------------ boot reports
+
+#: ``(sha256 of canonical_bytes(report), (dispatches, busy_ns, switch_ns,
+#: peak_runnable, rcu spin_time_ns))`` for every named profile x
+#: ``BBConfig.none()/full()`` x {1, 2, 4} cores.  The report digest pins
+#: what a boot computes; the CPU counters and the RCU spin time pin how the
+#: scheduler got there, slice by slice, so a change to the run queue or to
+#: spin-waiting that kept the report but moved a dispatch still fails.
+BOOT_PINS = {
+    ("appliance", "none", 1): (
+        "fe003a3f45e3187a7441a5e6f3bfa8563ca918c161ed00e2d4ac54f680fe0037",
+        (2087, 2031123100, 4174000, 16, 0)),
+    ("appliance", "none", 2): (
+        "67de1ead582ab0bdee732eb53a7b816baaa3af7e3a09936362762c551b204ca0",
+        (2090, 2032623100, 4180000, 12, 1500000)),
+    ("appliance", "none", 4): (
+        "4dd8a5b454c39abc0f1941b14dc7612a86aee8ae1212c551f75d586727869f03",
+        (2099, 2037123100, 4198000, 4, 6000000)),
+    ("appliance", "full", 1): (
+        "0196d676ee0bee30fa77f714afb6bf03f982eaacf3221d504cddb43b7136ce48",
+        (2030, 1976636200, 4060000, 27, 3000000)),
+    ("appliance", "full", 2): (
+        "df3116d5299d12e770233a090c07ad7319f692ee1e809395f4e258192b80b559",
+        (2033, 1979315800, 4066000, 25, 5500000)),
+    ("appliance", "full", 4): (
+        "4dc16ad5ab761a2bb5e86df58e822250afd604eef8ce035d20cf1de9b431af31",
+        (2018, 1974175000, 4036000, 10, 0)),
+    ("camera", "none", 1): (
+        "17201fce2f9100c1d11f1016c5fc950611a147fd141c2dda0dc7a5962c0482e4",
+        (2857, 2762271700, 5714000, 27, 0)),
+    ("camera", "none", 2): (
+        "5b1818a091a99ab7fff46d3f8e42a1a96bbc28014a29fa949c644420b43fbb8c",
+        (2861, 2764271700, 5722000, 16, 2000000)),
+    ("camera", "none", 4): (
+        "9bd613a5b729963861cc8221a278821cddb014c148bb464719292746e11e6fcd",
+        (2878, 2772771700, 5756000, 3, 10500000)),
+    ("camera", "full", 1): (
+        "d77c1400bbf8f45f6378ae4668cc7e1d3928448db95122cd448ff062cc2d9a48",
+        (2757, 2674465200, 5514000, 37, 0)),
+    ("camera", "full", 2): (
+        "25b67add84145c320ccaaeaab79bf4ffabd0cc986f0d6ace85ac7da735d27ced",
+        (2755, 2674644800, 5510000, 27, 0)),
+    ("camera", "full", 4): (
+        "1f9a0615ed27b962431fa7d127376988ab4883be682e1a60c5b38670db49d7bf",
+        (2751, 2675004000, 5502000, 12, 0)),
+    ("phone", "none", 1): (
+        "a6e1cad6eb7c209f589ef51299fde895da39b5295cc7942cc7a31699be94ef8e",
+        (7347, 7101016900, 14694000, 47, 3000000)),
+    ("phone", "none", 2): (
+        "4267198d80f76e0912824d7a6f1c54b81b11a3364153b6d84a32fda6ea219995",
+        (7376, 7115516900, 14752000, 61, 17500000)),
+    ("phone", "none", 4): (
+        "d39bb07fcc42141aa5449803d8258aa2ff99089c4fc2c41e74316a43872d8dcf",
+        (7511, 7183016900, 15022000, 50, 85000000)),
+    ("phone", "full", 1): (
+        "e26988f7e502cb0723411e2e596b95df2bd3dad3ec6818d8a93587d048ac01ca",
+        (7157, 6918239400, 14314000, 57, 3500000)),
+    ("phone", "full", 2): (
+        "15db406c00f00635c30ea22a276bb92954b4814d5b9b2e54cc13c741ff451dc7",
+        (7151, 6918778200, 14302000, 58, 3500000)),
+    ("phone", "full", 4): (
+        "41a5a12b3f74f2943261d18ce60658e560705ddaf0d0943c1e45195f5336d77e",
+        (7189, 6943836800, 14378000, 60, 27000000)),
+    ("tv", "none", 1): (
+        "90edc36595ec2b356dfb8b8403a71880afcb83913880383d60cdf14ba5241fbe",
+        (15783, 13147631047, 31566000, 76, 1475500000)),
+    ("tv", "none", 2): (
+        "ba3af661aa2db9e5e1539028e1654d167c046ba0c76e3544ebef3e93fbb6f8a2",
+        (20741, 15626631047, 41482000, 98, 3954500000)),
+    ("tv", "none", 4): (
+        "3b637eea71192ec4492bc62e8bd20a3111585f2e42d06bcbde06b177cdd225f8",
+        (27852, 19182131047, 55704000, 86, 7510000000)),
+    ("tv", "full", 1): (
+        "9ce093d2a7512744da2ae5da1a0a86856d6e86ec2f7ab6f012106eef035359cc",
+        (12759, 11492839297, 25518000, 61, 314000000)),
+    ("tv", "full", 2): (
+        "13de291204243378be160d5e755ab739273c3cdba85369617876671146f35450",
+        (13449, 11875951497, 26898000, 50, 689500000)),
+    ("tv", "full", 4): (
+        "a5d5990e7a24872859d14289865ef3b1cf2987480672465bc95a67961c06f1e8",
+        (12005, 11198320497, 24010000, 34, 0)),
+    ("tv-commercial", "none", 1): (
+        "779acfefde4e5e86e967845438a96a0f967e77544150fc999f5051ba6311a2e3",
+        (28914, 23592946151, 57828000, 62, 2951000000)),
+    ("tv-commercial", "none", 2): (
+        "09278034f345418f99af6b16c5764b77c679cd6166a70984682ed376af54b466",
+        (41830, 30050946151, 83660000, 91, 9409000000)),
+    ("tv-commercial", "none", 4): (
+        "9fbe85ef99b143359c630fc896546fbd790f0061637a2aad818984ddcf46be2a",
+        (76942, 47606946151, 153884000, 202, 26965000000)),
+    ("tv-commercial", "full", 1): (
+        "14f75c15fd7e9275a60d66e2e276a03668259737aa022982a4c3561cd55b5db5",
+        (22881, 20272123751, 45762000, 53, 580000000)),
+    ("tv-commercial", "full", 2): (
+        "e4dfe662d5fbe109c8d8789f763ad467cf29ffca6a4d6e9b27d0be2ecacf81de",
+        (30966, 24352212151, 61932000, 70, 4653500000)),
+    ("tv-commercial", "full", 4): (
+        "c3538e94543eaf48c367e1bc8e543c62b8ba1f6631b76e619d759a8b62c71a4b",
+        (35447, 26606165951, 70894000, 83, 6885500000)),
+    ("wearable", "none", 1): (
+        "7412e3de8d4a9882178eed125db5effcf202e91b8c84fa0de5da7bef97aabfd8",
+        (2382, 2302258250, 4764000, 19, 1000000)),
+    ("wearable", "none", 2): (
+        "c3d4f4daae18df92af8773928321cdded09e9123debdfb2e4005add252d639fa",
+        (2397, 2309758250, 4794000, 15, 8500000)),
+    ("wearable", "none", 4): (
+        "ff7dc7354d3c8a5035a7a989ce1ab791f3647977f802ac1d7029cadc5940260c",
+        (2473, 2347758250, 4946000, 6, 46500000)),
+    ("wearable", "full", 1): (
+        "c14d84b5f1acb9e0fc4bb2d015a6aeb26ab876a2f795ad73ff7d94a35cde1095",
+        (2312, 2235493400, 4624000, 31, 3000000)),
+    ("wearable", "full", 2): (
+        "74593ccd9a6b1387179122bb1df8664d13b889e2b77fff34a0747eafc08d147d",
+        (2323, 2243352600, 4646000, 28, 10500000)),
+    ("wearable", "full", 4): (
+        "ae7923f35323182fad75e3c056717fb45457e1c8389cca94588009fbac730954",
+        (2295, 2233574000, 4590000, 10, 0)),
+}
+
+#: The same pair for one generated graph with heavy RCU contention.
+GENERATED_PIN = (
+    "3f41dde66893c33c81546e7c48b8257f4cfbfff71b24c75029cc457adc74f818",
+    (8956, 6315502166, 17912000, 38, 2143000000))
+
+BOOT_CELLS = sorted(BOOT_PINS)
+
+
+def _cell_id(cell) -> str:
+    return "-".join(map(str, cell))
+
+
+def _boot_job(profile: str, bb: str, cores: int) -> SimJob:
+    return SimJob.boot(WORKLOAD_FACTORIES[profile],
+                       bb=getattr(BBConfig, bb)(), cores=cores)
+
+
+def _generated_job() -> SimJob:
+    return SimJob.boot(generate_workload,
+                       GeneratorParams(seed=3, rcu_sync_mean=3.0), cores=2)
+
+
+def _scheduler_counters(job: SimJob) -> tuple[int, int, int, int, int]:
+    simulation = make_boot_simulation(job)
+    try:
+        simulation.run()
+    except DegradedBootError:
+        pass
+    stats = simulation.sim.cpu.stats
+    rcu = simulation.booster.core_engine.rcu
+    return (stats.dispatches, stats.busy_ns, stats.switch_ns,
+            stats.peak_runnable, rcu.spin_time_ns)
+
+
+@pytest.mark.parametrize("cell", BOOT_CELLS, ids=_cell_id)
+def test_boot_report_bytes(cell):
+    report = execute_job(_boot_job(*cell))
+    assert _sha(canonical_bytes(report)) == BOOT_PINS[cell][0]
+
+
+@pytest.mark.parametrize("cell", BOOT_CELLS, ids=_cell_id)
+def test_boot_scheduler_counters(cell):
+    assert _scheduler_counters(_boot_job(*cell)) == BOOT_PINS[cell][1]
+
+
+def test_generated_graph_boot():
+    job = _generated_job()
+    assert _sha(canonical_bytes(execute_job(job))) == GENERATED_PIN[0]
+    assert _scheduler_counters(job) == GENERATED_PIN[1]
