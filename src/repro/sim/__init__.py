@@ -13,7 +13,8 @@ It provides:
   by the core count exactly as on the paper's quad-core Cortex-A9,
 * synchronization primitives in :mod:`repro.sim.sync` whose blocking
   behaviour differs in the way that matters for the paper: a
-  :class:`~repro.sim.sync.SpinLock` burns a core while waiting, while a
+  :class:`~repro.sim.sync.SpinLock` burns a core while waiting (the CPU
+  model drives its spinning), while a
   :class:`~repro.sim.sync.Mutex` sleeps and releases the core,
 * :class:`~repro.sim.tracing.Tracer` — span/instant trace recording used by
   the bootchart renderer,
@@ -30,7 +31,8 @@ from repro.sim.checkpoint import InjectorSlot, first_divergence
 from repro.sim.clock import SimClock
 from repro.sim.cpu import CPU, CpuStats
 from repro.sim.engine import Simulator
-from repro.sim.process import Compute, Interrupted, Process, Timeout, Wait
+from repro.sim.process import (Compute, Interrupted, Process, SpinWait,
+                               Timeout, Wait)
 from repro.sim.sync import Completion, Mutex, Semaphore, SpinLock
 from repro.sim.tracing import Span, TraceInstant, Tracer
 
@@ -48,6 +50,7 @@ __all__ = [
     "Simulator",
     "Span",
     "SpinLock",
+    "SpinWait",
     "Timeout",
     "TraceInstant",
     "Tracer",

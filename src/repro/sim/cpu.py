@@ -12,12 +12,19 @@ between slices the process goes back through the run queue.  A priority
 change therefore takes effect within one quantum — this is the hook the
 Booting Booster Manager uses to push BB-Group services ahead of everything
 else.
+
+The CPU also drives spin-waiting on a :class:`~repro.sim.sync.SpinLock`
+(a :class:`~repro.sim.process.SpinWait` request): the waiter burns
+``spin_slice_ns`` spins on a core, and at the end of each spin the CPU
+either resumes it (the lock is free for its ticket, or it was
+interrupted) or re-queues it at the back of its priority class, exactly
+as a fresh ``Compute`` per spin would be, without a generator round trip.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -25,6 +32,7 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
     from repro.sim.process import Process
+    from repro.sim.sync import SpinLock
 
 #: Default scheduler quantum: 1 ms, the granularity of priority decisions.
 DEFAULT_QUANTUM_NS = 1_000_000
@@ -33,12 +41,23 @@ DEFAULT_QUANTUM_NS = 1_000_000
 DEFAULT_SWITCH_COST_NS = 2_000
 
 
-@dataclass(order=True, slots=True)
 class _RunQueueEntry:
-    priority: int
-    seq: int
-    process: "Process" = field(compare=False)
-    remaining_ns: int = field(compare=False)
+    """One request's claim on the CPU, reused across its slices.
+
+    The run queue orders ``(priority, seq, entry)`` tuples; ``seq`` is
+    unique, so the entry itself is never compared.  ``lock`` is set for a
+    spin-wait on ``lock``'s ``ticket``; ``remaining_ns`` then counts down
+    the current spin.
+    """
+
+    __slots__ = ("process", "remaining_ns", "lock", "ticket")
+
+    def __init__(self, process: "Process", remaining_ns: int,
+                 lock: "SpinLock | None" = None, ticket: int = 0):
+        self.process = process
+        self.remaining_ns = remaining_ns
+        self.lock = lock
+        self.ticket = ticket
 
 
 @dataclass(slots=True)
@@ -85,12 +104,14 @@ class CPU:
         if switch_cost_ns < 0:
             raise SimulationError(f"switch cost cannot be negative: {switch_cost_ns}")
         self._engine = engine
+        self._clock = engine.clock
+        self._events = engine.events
         self.cores = cores
         self.quantum_ns = quantum_ns
         self.switch_cost_ns = switch_cost_ns
         self.stats = CpuStats()
         self._idle_cores = cores
-        self._run_queue: list[_RunQueueEntry] = []
+        self._run_queue: list[tuple[int, int, _RunQueueEntry]] = []
         self._seq = 0
 
     @property
@@ -113,31 +134,58 @@ class CPU:
         if ns == 0:
             self._engine._resume(process, None)
             return
-        self._enqueue(process, ns)
+        self._enqueue(_RunQueueEntry(process, ns))
         self._dispatch()
 
-    def _enqueue(self, process: "Process", remaining_ns: int) -> None:
-        entry = _RunQueueEntry(priority=process.priority, seq=self._seq,
-                               process=process, remaining_ns=remaining_ns)
-        self._seq += 1
-        heapq.heappush(self._run_queue, entry)
-        if len(self._run_queue) > self.stats.peak_runnable:
-            self.stats.peak_runnable = len(self._run_queue)
+    def spin(self, process: "Process", lock: "SpinLock", ticket: int) -> None:
+        """Spin ``process`` on ``lock`` until ``ticket`` may take it
+        (engine internal).
+
+        Each spin is ``lock.spin_slice_ns`` of CPU time, sliced and queued
+        like a ``Compute``.  When a spin ends the lock's spin time grows by
+        one spin and, unless the lock is now free for ``ticket``, the same
+        entry is re-queued at the process's current priority.  The process
+        is resumed when a spin ends with the lock free, or at the end of
+        the slice an interrupt arrived in (that slice is CPU time but not
+        spin time).
+        """
+        self._enqueue(_RunQueueEntry(process, lock.spin_slice_ns, lock, ticket))
+        self._dispatch()
+
+    def _enqueue(self, entry: _RunQueueEntry) -> None:
+        # The priority is read at every enqueue: BB Manager may have
+        # boosted the process while it ran, and it must take effect
+        # promptly.
+        seq = self._seq
+        self._seq = seq + 1
+        queue = self._run_queue
+        heappush(queue, (entry.process.priority, seq, entry))
+        queued = len(queue)
+        if queued > self.stats.peak_runnable:
+            self.stats.peak_runnable = queued
 
     def _dispatch(self) -> None:
         """Hand idle cores to the highest-priority queued work."""
-        while self._idle_cores > 0 and self._run_queue:
-            entry = heapq.heappop(self._run_queue)
-            if entry.process._pending_interrupt is not None:
-                # Interrupted while queued: deliver instead of running.
-                self._engine._resume(entry.process, None)
-                continue
-            self._idle_cores -= 1
-            slice_ns = min(self.quantum_ns, entry.remaining_ns)
-            self.stats.dispatches += 1
-            self.stats.switch_ns += self.switch_cost_ns
-            done_at = self._engine.now + self.switch_cost_ns + slice_ns
-            self._engine._schedule_at(done_at, self._slice_done, entry, slice_ns)
+        queue = self._run_queue
+        if self._idle_cores > 0 and queue:
+            stats = self.stats
+            quantum = self.quantum_ns
+            switch = self.switch_cost_ns
+            done_base = self._clock.now + switch
+            push = self._events.push
+            while self._idle_cores > 0 and queue:
+                entry = heappop(queue)[2]
+                if entry.process._pending_interrupt is not None:
+                    # Interrupted while queued: deliver instead of running.
+                    self._engine._resume(entry.process, None)
+                    continue
+                self._idle_cores -= 1
+                slice_ns = entry.remaining_ns
+                if slice_ns > quantum:
+                    slice_ns = quantum
+                stats.dispatches += 1
+                stats.switch_ns += switch
+                push(done_base + slice_ns, self._slice_done, entry, slice_ns)
         monitor = self._engine.monitor
         if monitor is not None:
             monitor.on_cpu(self)
@@ -145,16 +193,27 @@ class CPU:
     def _slice_done(self, entry: _RunQueueEntry, slice_ns: int) -> None:
         self._idle_cores += 1
         self.stats.busy_ns += slice_ns
-        entry.process.cpu_time_ns += slice_ns
-        entry.remaining_ns -= slice_ns
-        if entry.remaining_ns > 0 and entry.process._pending_interrupt is None:
-            # Re-read the priority: BB Manager may have boosted the process
-            # while it was running, and it must take effect promptly.
-            self._enqueue(entry.process, entry.remaining_ns)
-        else:
-            # Finished — or interrupted, in which case the remaining work
-            # is abandoned and the interrupt is delivered by the resume.
-            self._engine._resume(entry.process, None)
+        process = entry.process
+        process.cpu_time_ns += slice_ns
+        if process._pending_interrupt is None:
+            remaining = entry.remaining_ns - slice_ns
+            lock = entry.lock
+            if remaining > 0:
+                entry.remaining_ns = remaining
+                self._enqueue(entry)
+                self._dispatch()
+                return
+            if lock is not None:
+                # A whole spin is done.
+                lock.spin_time_ns += lock.spin_slice_ns
+                if not lock._free_for(entry.ticket):
+                    entry.remaining_ns = lock.spin_slice_ns
+                    self._enqueue(entry)
+                    self._dispatch()
+                    return
+        # Finished — or interrupted, in which case the remaining work is
+        # abandoned and the interrupt is delivered by the resume.
+        self._engine._resume(process, None)
         self._dispatch()
 
     def __repr__(self) -> str:

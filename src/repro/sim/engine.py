@@ -27,7 +27,8 @@ from repro.sim.clock import SimClock
 from repro.sim.cpu import CPU, DEFAULT_QUANTUM_NS, DEFAULT_SWITCH_COST_NS
 from repro.sim.events import EventQueue, ScheduledEvent
 from repro.sim.process import (DEFAULT_PRIORITY, Compute, Process,
-                               ProcessGenerator, ProcessState, Timeout, Wait)
+                               ProcessGenerator, ProcessState, SpinWait,
+                               Timeout, Wait)
 from repro.sim.sync import Completion
 from repro.sim.tracing import Tracer
 
@@ -91,7 +92,7 @@ class Simulator:
         process = Process(self, gen, name=name, priority=priority)
         process.daemon = daemon
         self.processes.append(process)
-        self._schedule_at(self.now, self._first_step, process)
+        self.events.push(self.now, self._first_step, process)
         return process
 
     def completion(self, name: str = "completion") -> Completion:
@@ -157,9 +158,6 @@ class Simulator:
 
     # ------------------------------------------------- engine internals
 
-    def _schedule_at(self, time_ns: int, callback, *args) -> ScheduledEvent:
-        return self.events.push(time_ns, callback, *args)
-
     def _dispatch(self, process: Process, request: Any) -> None:
         """Route a process's yielded request to the right subsystem."""
         if isinstance(request, Compute):
@@ -167,7 +165,7 @@ class Simulator:
             self.cpu.submit(process, request.ns)
         elif isinstance(request, Timeout):
             process.state = ProcessState.WAITING
-            process._timeout_event = self._schedule_at(
+            process._timeout_event = self.events.push(
                 self.now + request.ns, self._resume, process, None)
         elif isinstance(request, Wait):
             completion = request.completion
@@ -176,8 +174,11 @@ class Simulator:
                 process._waiting_on = completion
             else:
                 # Already fired: resume on a fresh event to keep FIFO order.
-                self._schedule_at(self.now,
-                                  self._resume, process, completion.value)
+                self.events.push(self.now,
+                                 self._resume, process, completion.value)
+        elif isinstance(request, SpinWait):
+            process.state = ProcessState.RUNNABLE
+            self.cpu.spin(process, request.lock, request.ticket)
         else:
             raise SimulationError(
                 f"process {process.name!r} yielded unknown request {request!r}")
@@ -209,13 +210,13 @@ class Simulator:
         if process._timeout_event is not None:
             self.events.cancel(process._timeout_event)
             process._timeout_event = None
-            self._schedule_at(self.now, self._resume, process, None)
+            self.events.push(self.now, self._resume, process, None)
         elif process._waiting_on is not None:
             completion = process._waiting_on
             if process in completion._waiters:
                 completion._waiters.remove(process)
             process._waiting_on = None
-            self._schedule_at(self.now, self._resume, process, None)
+            self.events.push(self.now, self._resume, process, None)
         # Else: on the CPU (queued or mid-slice); the pending interrupt is
         # delivered when the slice completes (see CPU._slice_done).
 

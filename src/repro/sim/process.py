@@ -8,7 +8,9 @@ launch) is written as a Python generator that ``yield``\\ s request objects:
 * :class:`Compute` — consume CPU time; the process occupies one core of the
   :class:`~repro.sim.cpu.CPU` while it runs and competes with every other
   runnable process through the priority run queue,
-* :class:`Wait` — block until a :class:`~repro.sim.sync.Completion` fires.
+* :class:`Wait` — block until a :class:`~repro.sim.sync.Completion` fires,
+* :class:`SpinWait` — busy-wait on a :class:`~repro.sim.sync.SpinLock`
+  ticket; the CPU model drives the spinning.
 
 Generators compose with ``yield from``, so models build freely on each
 other (a service start ``yield from``\\ s a storage read, which internally
@@ -25,7 +27,7 @@ from repro.errors import SimulationError
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
-    from repro.sim.sync import Completion
+    from repro.sim.sync import Completion, SpinLock
 
 #: Type alias for the generators the engine can run.
 ProcessGenerator = Generator[Any, Any, Any]
@@ -66,6 +68,21 @@ class Wait:
     """Block until ``completion`` fires; resumes with the fired value."""
 
     completion: "Completion"
+
+
+@dataclass(frozen=True, slots=True)
+class SpinWait:
+    """Spin on a core until ``lock`` is free for ``ticket``.
+
+    Yielded by :meth:`repro.sim.sync.SpinLock.acquire`.  The CPU runs the
+    process in ``lock.spin_slice_ns`` spins, each queued like a
+    :class:`Compute`, and resumes it (with ``None``) at the first spin end
+    at which the lock is free and ``ticket`` is the lowest outstanding
+    one — see :meth:`repro.sim.cpu.CPU.spin`.
+    """
+
+    lock: "SpinLock"
+    ticket: int
 
 
 class Interrupted(Exception):

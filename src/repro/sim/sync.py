@@ -5,8 +5,9 @@ distinction:
 
 * :class:`SpinLock` — the ticket spinlock of conventional
   ``synchronize_rcu`` (Algorithm 1).  A waiter **burns a CPU core**: it
-  repeatedly issues :class:`~repro.sim.process.Compute` slices and re-tries,
-  so while it waits other runnable boot tasks cannot use that core.
+  yields one :class:`~repro.sim.process.SpinWait`, and the CPU model runs
+  it in ``spin_slice_ns`` spins, re-trying at the end of each, so while it
+  waits other runnable boot tasks cannot use that core.
 * :class:`Mutex` — the blocking lock of the boosted RCU (Algorithm 2).  A
   waiter **sleeps**: it is parked on a wait queue and frees its core, at the
   price of a context-switch cost when it is woken.
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import SimulationError
-from repro.sim.process import Compute, Wait
+from repro.sim.process import Compute, SpinWait, Wait
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
@@ -229,7 +230,10 @@ class SpinLock:
     ``spin_slice_ns`` is the CPU time consumed per failed attempt before
     re-trying.  A long critical section under contention therefore occupies
     one core per spinner — exactly the pathology the RCU Booster removes at
-    boot time.
+    boot time.  The spinning itself is driven by the CPU model
+    (:meth:`repro.sim.cpu.CPU.spin`), which also adds each completed spin
+    to :attr:`spin_time_ns`; a spin cut short by an interrupt is CPU time
+    but not spin time.
     """
 
     def __init__(self, engine: "Simulator", name: str = "spinlock",
@@ -274,24 +278,26 @@ class SpinLock:
         ticket = self._next_ticket
         self._next_ticket += 1
         self._tickets[ticket] = process
-        if min(self._tickets) != ticket or self._held:
+        if not self._free_for(ticket):
             self.contended_acquires += 1
-        claimed = False
-        try:
-            # FIFO by lowest *outstanding* ticket: an abandoned (interrupted)
-            # ticket disappears from the dict, so it never wedges the queue.
-            while min(self._tickets) != ticket or self._held:
-                # Busy-wait: each slice is real CPU consumption on a core.
-                yield Compute(self.spin_slice_ns)
-                self.spin_time_ns += self.spin_slice_ns
-            del self._tickets[ticket]
-            self._held = True
-            self.owner = process
-            claimed = True
-        finally:
-            if not claimed:
+            try:
+                # Busy-wait: the CPU resumes us once a spin ends with the
+                # lock free for this ticket.
+                yield SpinWait(self, ticket)
+            except BaseException:
+                # An abandoned (interrupted) ticket leaves the dict, so it
+                # never wedges the queue.
                 self._tickets.pop(ticket, None)
+                raise
+        del self._tickets[ticket]
+        self._held = True
+        self.owner = process
         return None
+
+    def _free_for(self, ticket: int) -> bool:
+        """True when ``ticket`` may take the lock now: the lock is free and
+        ``ticket`` is the lowest *outstanding* ticket (FIFO fairness)."""
+        return not self._held and min(self._tickets) == ticket
 
     def release(self) -> None:
         """Release the lock; the next ticket holder's spin will succeed."""
