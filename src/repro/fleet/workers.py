@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import socket
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any
@@ -28,6 +29,37 @@ from repro.fleet.resources import ProcessSampler, ResourcePolicy, ResourceSample
 from repro.runner.cache import ResultCache
 from repro.runner.jobs import SimJob
 from repro.runner.sweep import SweepRunner
+
+
+def _inherited_fds() -> list[int]:
+    for directory in ("/proc/self/fd", "/dev/fd"):
+        try:
+            return [int(name) for name in os.listdir(directory)]
+        except OSError:
+            continue
+    return []
+
+
+def close_inherited_sockets() -> None:
+    """Shard-child initializer: close every IP socket forked in from the
+    parent.
+
+    A shard child is forked while the service's server is open, so it
+    inherits the listening socket (and any accepted connections).  Kept
+    open, the child's copy holds the port in LISTEN after :meth:`drain`
+    closed it, and a connecting client waits in a backlog nobody
+    accepts from instead of being refused.  The child talks to its
+    parent only over the executor's pipes, so it needs none of them.
+    """
+    for fd in _inherited_fds():
+        try:
+            sock = socket.socket(fileno=fd)
+        except OSError:
+            continue  # not a socket, or the listing's own descriptor
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.close()
+        else:
+            sock.detach()
 
 
 def shard_execute(jobs: list[SimJob], cache_dir: str | None,
@@ -67,7 +99,8 @@ class WorkerShard:
         self.busy = False
         self.batches = 0
         self.jobs_done = 0
-        self._executor = ProcessPoolExecutor(max_workers=1)
+        self._executor = ProcessPoolExecutor(
+            max_workers=1, initializer=close_inherited_sockets)
         self._sampler: ProcessSampler | None = None
         self._last_sample = ResourceSample(pid=0, cpu_percent=None,
                                            rss_bytes=None)

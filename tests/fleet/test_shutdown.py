@@ -13,7 +13,7 @@ import asyncio
 
 import pytest
 
-from repro.fleet import FleetService
+from repro.fleet import FleetClient, FleetService
 from repro.fleet.resources import ResourcePolicy
 
 ROUNDS = 100
@@ -48,3 +48,39 @@ def test_shutdown_right_after_a_work_signal_returns(shutdown):
             await _signal_work_then(shutdown, yields=round_ % 3)
 
     asyncio.run(scenario())
+
+
+def test_draining_service_refuses_connections_with_a_batch_in_flight():
+    """Drain closes the listener even though a shard child, forked while
+    it was open, is still running a batch: a new client is refused, not
+    parked in a backlog nobody accepts from."""
+    specs = [{"kind": "boot", "workload": "tv-commercial", "bb": "none",
+              "cores": 4, "fault": {"preset": "flaky-services", "seed": seed}}
+             for seed in range(4)]
+
+    async def scenario():
+        service = FleetService(port=0, batch_size=len(specs),
+                               policy=ResourcePolicy(min_workers=1,
+                                                     max_workers=1))
+        host, port = await service.start()
+        try:
+            async with FleetClient(host, port) as client:
+                submission = asyncio.ensure_future(client.submit(specs))
+                while not service._batch_tasks:
+                    await asyncio.sleep(0.005)
+                drain = asyncio.ensure_future(service.drain())
+                while not service.draining:
+                    await asyncio.sleep(0)
+                assert service._batch_tasks, "the batch finished too soon"
+                with pytest.raises(ConnectionRefusedError):
+                    _, writer = await asyncio.open_connection(host, port)
+                    writer.close()
+                outcome = await asyncio.wait_for(submission, 60)
+            await asyncio.wait_for(drain, SHUTDOWN_TIMEOUT_S)
+        finally:
+            if not service._drained.is_set():
+                await service.stop()
+        return outcome
+
+    outcome = asyncio.run(scenario())
+    assert outcome.ok and outcome.total == len(specs)
