@@ -167,6 +167,7 @@ class CPU:
     def _dispatch(self) -> None:
         """Hand idle cores to the highest-priority queued work."""
         queue = self._run_queue
+        # Most calls find no idle core or no queued work: skip the set-up.
         if self._idle_cores > 0 and queue:
             stats = self.stats
             quantum = self.quantum_ns
@@ -195,25 +196,22 @@ class CPU:
         self.stats.busy_ns += slice_ns
         process = entry.process
         process.cpu_time_ns += slice_ns
+        remaining = 0
         if process._pending_interrupt is None:
             remaining = entry.remaining_ns - slice_ns
             lock = entry.lock
-            if remaining > 0:
-                entry.remaining_ns = remaining
-                self._enqueue(entry)
-                self._dispatch()
-                return
-            if lock is not None:
-                # A whole spin is done.
+            if not remaining and lock is not None:
+                # A whole spin is done: spin again unless the lock is free.
                 lock.spin_time_ns += lock.spin_slice_ns
                 if not lock._free_for(entry.ticket):
-                    entry.remaining_ns = lock.spin_slice_ns
-                    self._enqueue(entry)
-                    self._dispatch()
-                    return
-        # Finished — or interrupted, in which case the remaining work is
-        # abandoned and the interrupt is delivered by the resume.
-        self._engine._resume(process, None)
+                    remaining = lock.spin_slice_ns
+        if remaining:
+            entry.remaining_ns = remaining
+            self._enqueue(entry)
+        else:
+            # Finished — or interrupted, in which case the remaining work
+            # is abandoned and the interrupt is delivered by the resume.
+            self._engine._resume(process, None)
         self._dispatch()
 
     def __repr__(self) -> str:
