@@ -167,26 +167,20 @@ class CPU:
     def _dispatch(self) -> None:
         """Hand idle cores to the highest-priority queued work."""
         queue = self._run_queue
-        # Most calls find no idle core or no queued work: skip the set-up.
-        if self._idle_cores > 0 and queue:
-            stats = self.stats
-            quantum = self.quantum_ns
-            switch = self.switch_cost_ns
-            done_base = self._clock.now + switch
-            push = self._events.push
-            while self._idle_cores > 0 and queue:
-                entry = heappop(queue)[2]
-                if entry.process._pending_interrupt is not None:
-                    # Interrupted while queued: deliver instead of running.
-                    self._engine._resume(entry.process, None)
-                    continue
-                self._idle_cores -= 1
-                slice_ns = entry.remaining_ns
-                if slice_ns > quantum:
-                    slice_ns = quantum
-                stats.dispatches += 1
-                stats.switch_ns += switch
-                push(done_base + slice_ns, self._slice_done, entry, slice_ns)
+        while self._idle_cores > 0 and queue:
+            entry = heappop(queue)[2]
+            if entry.process._pending_interrupt is not None:
+                # Interrupted while queued: deliver instead of running.
+                self._engine._resume(entry.process, None)
+                continue
+            self._idle_cores -= 1
+            slice_ns = entry.remaining_ns
+            if slice_ns > self.quantum_ns:
+                slice_ns = self.quantum_ns
+            self.stats.dispatches += 1
+            self.stats.switch_ns += self.switch_cost_ns
+            self._events.push(self._clock.now + self.switch_cost_ns + slice_ns,
+                              self._slice_done, entry, slice_ns)
         monitor = self._engine.monitor
         if monitor is not None:
             monitor.on_cpu(self)
