@@ -149,7 +149,8 @@ class CPU:
         the slice an interrupt arrived in (that slice is CPU time but not
         spin time).
         """
-        self._enqueue(_RunQueueEntry(process, lock.spin_slice_ns, lock, ticket))
+        self._enqueue(
+            _RunQueueEntry(process, lock.spin_slice_ns, lock, ticket))
         self._dispatch()
 
     def _enqueue(self, entry: _RunQueueEntry) -> None:
