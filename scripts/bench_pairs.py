@@ -1,11 +1,12 @@
 """Compare a revision against the working tree with alternating benchmark pairs.
 
-    python scripts/bench_pairs.py REV WORKLOAD N [--seconds S] [--seed K]
+    python scripts/bench_pairs.py REV WORKLOAD N [--seed K]
 
 Checks ``REV`` out into a temporary ``git worktree`` and runs ``N`` pairs of
-``perfbench/run.py --workload WORKLOAD`` (untraced): one on ``REV``, one on
-this checkout's working tree, alternating which side runs first.  Both
-sides of pair ``i`` use seed ``K + i``.  For every end-to-end metric in
+``perfbench/run.py --workload WORKLOAD`` (untraced, for ``BENCHMARK.json``'s
+``run_seconds``): one on ``REV``, one on this checkout's working tree,
+alternating which side runs first.  Both sides of pair ``i`` use seed
+``K + i``.  For every end-to-end metric in
 ``BENCHMARK.json`` it prints each side's median and quartiles and the
 fraction of pairs the working tree wins (ties count for neither side),
 then whether a gain may be claimed: the working tree wins at least 9/10
@@ -81,14 +82,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("rev", help="revision to compare against")
     parser.add_argument("workload")
     parser.add_argument("pairs", type=int)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json)")
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the first pair")
     args = parser.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = (args.seconds if args.seconds is not None
-               else declared["run_seconds"])
+    seconds = declared["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         tree = Path(scratch) / "parent"

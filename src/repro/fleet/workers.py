@@ -18,6 +18,7 @@ on shutdown.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import socket
 from concurrent.futures import ProcessPoolExecutor
@@ -31,15 +32,6 @@ from repro.runner.jobs import SimJob
 from repro.runner.sweep import SweepRunner
 
 
-def _inherited_fds() -> list[int]:
-    for directory in ("/proc/self/fd", "/dev/fd"):
-        try:
-            return [int(name) for name in os.listdir(directory)]
-        except OSError:
-            continue
-    return []
-
-
 def close_inherited_sockets() -> None:
     """Shard-child initializer: close every IP socket forked in from the
     parent.
@@ -50,8 +42,12 @@ def close_inherited_sockets() -> None:
     closed it, and a connecting client waits in a backlog nobody
     accepts from instead of being refused.  The child talks to its
     parent only over the executor's pipes, so it needs none of them.
+    Python sockets are not inheritable (PEP 446), so only a forked child
+    has any to close.
     """
-    for fd in _inherited_fds():
+    if multiprocessing.get_start_method() != "fork":
+        return
+    for fd in [int(name) for name in os.listdir("/proc/self/fd")]:
         try:
             sock = socket.socket(fileno=fd)
         except OSError:

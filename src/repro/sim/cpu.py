@@ -142,9 +142,10 @@ class CPU:
         (engine internal).
 
         Each spin is ``lock.spin_slice_ns`` of CPU time, sliced and queued
-        like a ``Compute``.  When a spin ends the lock's spin time grows by
-        one spin and, unless the lock is now free for ``ticket``, the same
-        entry is re-queued at the process's current priority.  The process
+        like a ``Compute``.  When a spin ends it is reported to the lock
+        (which counts it as spin time) and, unless the lock is now free for
+        ``ticket``, the same entry is re-queued at the process's current
+        priority.  The process
         is resumed when a spin ends with the lock free, or at the end of
         the slice an interrupt arrived in (that slice is CPU time but not
         spin time).
@@ -195,11 +196,10 @@ class CPU:
         if process._pending_interrupt is None:
             remaining = entry.remaining_ns - slice_ns
             lock = entry.lock
-            if not remaining and lock is not None:
-                # A whole spin is done: spin again unless the lock is free.
-                lock.spin_time_ns += lock.spin_slice_ns
-                if not lock._free_for(entry.ticket):
-                    remaining = lock.spin_slice_ns
+            if (not remaining and lock is not None
+                    and lock._spin_ended(entry.ticket)):
+                # A whole spin is done and the lock is not free: spin again.
+                remaining = lock.spin_slice_ns
         if remaining:
             entry.remaining_ns = remaining
             self._enqueue(entry)

@@ -231,9 +231,9 @@ class SpinLock:
     re-trying.  A long critical section under contention therefore occupies
     one core per spinner — exactly the pathology the RCU Booster removes at
     boot time.  The spinning itself is driven by the CPU model
-    (:meth:`repro.sim.cpu.CPU.spin`), which also adds each completed spin
-    to :attr:`spin_time_ns`; a spin cut short by an interrupt is CPU time
-    but not spin time.
+    (:meth:`repro.sim.cpu.CPU.spin`), which reports each completed spin
+    back to the lock; only completed spins count in :attr:`spin_time_ns`,
+    so a spin cut short by an interrupt is CPU time but not spin time.
     """
 
     def __init__(self, engine: "Simulator", name: str = "spinlock",
@@ -298,6 +298,12 @@ class SpinLock:
         """True when ``ticket`` may take the lock now: the lock is free and
         ``ticket`` is the lowest *outstanding* ticket (FIFO fairness)."""
         return not self._held and min(self._tickets) == ticket
+
+    def _spin_ended(self, ticket: int) -> bool:
+        """Count one completed spin by ``ticket``'s waiter (engine
+        internal); True when it must spin again."""
+        self.spin_time_ns += self.spin_slice_ns
+        return self._held or min(self._tickets) != ticket
 
     def release(self) -> None:
         """Release the lock; the next ticket holder's spin will succeed."""

@@ -57,6 +57,9 @@ def test_draining_service_refuses_connections_with_a_batch_in_flight():
     specs = [{"kind": "boot", "workload": "tv-commercial", "bb": "none",
               "cores": 4, "fault": {"preset": "flaky-services", "seed": seed}}
              for seed in range(4)]
+    # A first, finished batch proves the shard child has been forked and
+    # set up, so the refusal below cannot race the child's start-up.
+    warm_up = [dict(specs[0], fault={"preset": "flaky-services", "seed": 99})]
 
     async def scenario():
         service = FleetService(port=0, batch_size=len(specs),
@@ -65,6 +68,7 @@ def test_draining_service_refuses_connections_with_a_batch_in_flight():
         host, port = await service.start()
         try:
             async with FleetClient(host, port) as client:
+                assert (await client.submit(warm_up)).ok
                 submission = asyncio.ensure_future(client.submit(specs))
                 while not service._batch_tasks:
                     await asyncio.sleep(0.005)
