@@ -19,8 +19,11 @@ from repro.initsys.units import SimCost, Unit
 from repro.quantities import msec
 from repro.runner.jobs import SimJob
 from repro.sim.cpu import DEFAULT_QUANTUM_NS, DEFAULT_SWITCH_COST_NS
+from repro.verify.oracles import check_prediction_matches_des
 from repro.workloads import (
+    GeneratorParams,
     camera_workload,
+    generate_workload,
     opensource_tv_workload,
     wearable_workload,
 )
@@ -190,8 +193,6 @@ def test_deep_chain_predicts_without_recursion_error():
     """Acceptance: a 5,000-unit strong Requires/After chain must solve
     analytically without touching the interpreter recursion limit (the
     same graph shape that used to overflow critical_path)."""
-    from repro.workloads import GeneratorParams, generate_workload
-
     params = GeneratorParams(seed=7, services=0, chain_length=5_000,
                              mean_cpu_ms=1.0, rcu_sync_mean=0.0)
     workload = generate_workload(params)
@@ -203,3 +204,37 @@ def test_deep_chain_predicts_without_recursion_error():
                          cores=4)
     assert prediction.boot_complete_ns >= path.length_ns
     assert len(prediction.unit_ready_ns) >= 5_000
+
+
+_MIXED_SUBJECTS = {
+    "camera": camera_workload,
+    "gen4242": lambda: generate_workload(
+        GeneratorParams(seed=4242, services=20, rcu_sync_mean=3)),
+}
+
+
+@pytest.mark.parametrize("cores", [1, 2, 4])
+@pytest.mark.parametrize("boost", [False, True], ids=["noboost", "boost"])
+@pytest.mark.parametrize("ondemand", [False, True], ids=["builtin", "ondemand"])
+@pytest.mark.parametrize("booster", [False, True], ids=["rcu", "booster"])
+@pytest.mark.parametrize("subject", sorted(_MIXED_SUBJECTS))
+def test_predictor_matches_des_on_mixed_service_features(
+        subject, booster, ondemand, boost, cores):
+    """Exactness on the mixed corners of the service-phase features, where
+    boosted priorities preempt conventional-RCU spinners mid-quantum.
+
+    On one core, boost without the RCU Booster starves the generated
+    graph's spinners forever: the DES never terminates there, so only the
+    predictor's livelock verdict is checked.
+    """
+    factory = _MIXED_SUBJECTS[subject]
+    bb = (BBConfig.full()
+          .with_feature("rcu_booster", booster)
+          .with_feature("ondemand_modularizer", ondemand)
+          .with_feature("group_priority_boost", boost))
+    if subject == "gen4242" and cores == 1 and boost and not booster:
+        with pytest.raises(AnalysisError, match="livelock"):
+            predict(factory(), bb, cores=cores)
+        return
+    violations = check_prediction_matches_des(factory, bb=bb, cores=cores)
+    assert not violations, violations
