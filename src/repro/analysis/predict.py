@@ -23,17 +23,25 @@ differential-oracle group in :mod:`repro.verify` (gem5's
 known-answer-test methodology): on every built-in preset the prediction
 must match DES boot-completion time within :data:`PREDICTION_TOLERANCE`.
 
-**Tolerance contract** (details in ``docs/analysis.md``) — the replica
-is slice-accurate: quantum round-robin with per-dispatch switch cost,
+**Tolerance contract** (details in ``docs/analysis.md``) — the machine
+solver steps CPU time by the simulator's one rule: every compute request
+is queued at its priority, an idle core takes the best queued task for
+one slice (at most a quantum, plus the switch cost), and each slice end
+frees the core and then either re-queues the task with the work still
+owed or resumes it.  ``_Machine._enqueue``, ``_dispatch`` and the slice
+end in ``_Machine.run`` mirror ``CPU._enqueue``, ``CPU._dispatch`` and
+``CPU._slice_done`` of :mod:`repro.sim.cpu`.  On top of that rule the
 priority-aware storage channel and fork lock, direct-handoff mutexes,
 ticket-spinlock RCU grace periods (spinners burn core slices), socket
 activation, on-demand driver faulting and the kmod worker are replayed
-move for move.  On every built-in preset × ``BBConfig.none()/full()`` ×
-1/2/4 cores the prediction equals DES boot-completion time *exactly*,
-to the nanosecond.  :data:`PREDICTION_TOLERANCE` is a guard band for
-effects outside the replicated set (it admits no known error source
-today); anything perturbed is out of scope — a job with a fault plan or
-``failures_before_success`` is rejected with :class:`AnalysisError`.
+step for step, with the simulator's own constants.  The prediction
+equals DES boot-completion time *exactly*, to the nanosecond, on every
+built-in preset × ``BBConfig.none()/full()`` × 1/2/4 cores and on the
+mixed service-phase feature corners.  :data:`PREDICTION_TOLERANCE` is a
+guard band for effects outside the replicated set (it admits no known
+error source today); anything perturbed is out of scope — a job with a
+fault plan or ``failures_before_success`` is rejected with
+:class:`AnalysisError`.
 """
 
 from __future__ import annotations
@@ -47,11 +55,19 @@ from repro.core.core_engine import CoreEngine
 from repro.core.service_engine import ServiceEngine
 from repro.errors import AnalysisError, ReproError
 from repro.hw.storage import AccessPattern
+from repro.initsys.executor import SERVICE_PRIORITY
+from repro.initsys.manager import (FORK_WAKE_COST_NS, KMOD_PRIORITY,
+                                   MANAGER_PRIORITY)
+from repro.initsys.preparser import PreParser
+from repro.initsys.startup_tasks import STARTUP_TASKS, SUBMODULE_TASKS
 from repro.initsys.transaction import EdgeKind, Transaction
 from repro.initsys.units import ServiceType, UnitType
-from repro.kernel.rcu import RCUSubsystem
+from repro.kernel.rcu import (DEFAULT_BOOSTED_OP_CPU_NS,
+                              DEFAULT_CONVENTIONAL_OP_CPU_NS,
+                              DEFAULT_EXPEDITED_GRACE_NS, DEFAULT_GRACE_NS,
+                              DEFAULT_SPIN_SLICE_NS)
 from repro.sim.cpu import DEFAULT_QUANTUM_NS, DEFAULT_SWITCH_COST_NS
-from repro.sim.sync import Mutex, SpinLock
+from repro.sim.sync import DEFAULT_SPIN_ACQUIRE_COST_NS, DEFAULT_WAKE_COST_NS
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:
@@ -64,12 +80,6 @@ if TYPE_CHECKING:
 #: the band exists so a future micro-cost added to the simulator fails
 #: soft with a diagnosable drift report instead of a hard mismatch.
 PREDICTION_TOLERANCE = 0.001
-
-#: Scheduling priorities mirrored from the simulator (see
-#: :mod:`repro.initsys.manager` / :mod:`repro.initsys.executor`).
-_MANAGER_PRIORITY = 50
-_KMOD_PRIORITY = 60
-_SERVICE_PRIORITY = 100
 
 #: Simulated-time horizon for the service phase.  The simulated init
 #: model can genuinely livelock — conventional-RCU ticket spinners at
@@ -186,10 +196,13 @@ class _Machine:
         ("lock", lock)   acquire; send-value True means it was contended
         ("unlock", lock) release, granting the best queued waiter
 
-    The scheduler replicates the semantics the DES gets from its event
-    queue and :class:`~repro.sim.cpu.CPU`: cores are granted eagerly
-    inside synchronous wake cascades, freed cores are visible to the
-    cascade that freed them, and ties break FIFO by enqueue order.
+    CPU time steps by the simulator's one rule: every ``("cpu", ns)``
+    request goes through :meth:`_enqueue` and :meth:`_dispatch`, and
+    every slice end in :meth:`run` re-queues or resumes its task — the
+    counterparts of ``CPU._enqueue``, ``CPU._dispatch`` and
+    ``CPU._slice_done``.  Wake cascades run synchronously, as in the
+    DES, so a freed core is visible to the cascade that freed it, and
+    ties break FIFO by sequence number.
     """
 
     def __init__(self, cores: int, start_ns: int,
@@ -200,17 +213,13 @@ class _Machine:
         self.quantum_ns = quantum_ns
         self.switch_cost_ns = switch_cost_ns
         self.stopped = False
-        # Event records: [time, seq, task, remaining_ns] — remaining < 0
+        # Event records: (time, seq, task, remaining_ns) — remaining < 0
         # marks a plain resume (timer expiry / zero-delay wake), >= 0 a
-        # CPU run completing with that much work still owed.  A record
-        # whose task slot is None has been cancelled (lazy heap delete).
-        self._events: list[list] = []
+        # slice end with that much of the task's work still owed.
+        self._events: list[tuple[int, int, "_Task", int]] = []
         self._eseq = 0
         self._run: list[tuple[int, int, "_Task", int]] = []
         self._rseq = 0
-        # In-flight multi-quantum batched runs: id(record) -> (record,
-        # start_ns, total_ns).  See _begin_run/_split_batches.
-        self._batches: dict[int, tuple[list, int, int]] = {}
 
     # -------------------------------------------------------------- driving
 
@@ -218,15 +227,9 @@ class _Machine:
         self._drive(task, None)
 
     def run(self, horizon_ns: int) -> None:
-        pop = heapq.heappop
-        push = heapq.heappush
         events = self._events
         while events and not self.stopped:
-            e = pop(events)
-            task = e[2]
-            if task is None:
-                continue  # cancelled by a batch split
-            time_ns = e[0]
+            time_ns, _, task, remaining_ns = heapq.heappop(events)
             self.now = time_ns
             if time_ns > horizon_ns:
                 raise AnalysisError(
@@ -234,43 +237,21 @@ class _Machine:
                     f"simulated seconds — the configuration livelocks "
                     f"(e.g. conventional-RCU spinners starved by "
                     f"priority-boosted work on a saturated CPU)")
-            if self._batches:
-                # Any real event firing may change scheduler state, so
-                # in-flight batches lose their skipped boundaries first.
-                self._batches.pop(id(e), None)
-                if self._batches:
-                    self._split_batches()
-                    if events and events[0] < e:
-                        # A split landed a boundary at this very instant
-                        # with an earlier sequence number — it goes first.
-                        push(events, e)
-                        continue
-            remaining_ns = e[3]
             if remaining_ns < 0:
                 self._drive(task, None)
-            elif remaining_ns == 0:
-                # Compute finished: free the core before resuming so the
-                # wake cascade can immediately claim it (DES ordering).
-                self.idle += 1
-                self._drive(task, None)
-                if self._run and self.idle > 0:
-                    self._dispatch()
+                continue
+            # Slice end, as CPU._slice_done.
+            self.idle += 1
+            if remaining_ns:
+                self._enqueue(task, remaining_ns)
             else:
-                # Preempted at a quantum boundary with work still owed.
-                if not self._run:
-                    # No contender: the task re-wins the very core it
-                    # just released, so the core never goes idle — chain
-                    # the rest of the work as one batched run.
-                    self._begin_run(task, remaining_ns)
-                else:
-                    self.idle += 1
-                    self._enqueue(task, remaining_ns)
-                    self._dispatch()
+                self._drive(task, None)
+            self._dispatch()
 
     def _schedule(self, delay_ns: int, task: "_Task",
                   remaining_ns: int) -> None:
         heapq.heappush(self._events,
-                       [self.now + delay_ns, self._eseq, task, remaining_ns])
+                       (self.now + delay_ns, self._eseq, task, remaining_ns))
         self._eseq += 1
 
     def _drive(self, task: "_Task", value: Any) -> None:
@@ -282,13 +263,6 @@ class _Machine:
                 if op == "cpu":
                     if operand <= 0:
                         continue  # Compute(0) resumes synchronously
-                    # Fast path: a free core and an empty queue means the
-                    # task is dispatched immediately — skip the run-queue
-                    # round trip entirely.
-                    if self.idle > 0 and not self._run:
-                        self.idle -= 1
-                        self._begin_run(task, operand)
-                        return
                     self._enqueue(task, operand)
                     self._dispatch()
                     return
@@ -346,19 +320,8 @@ class _Machine:
         self._drive(task, True)
 
     # --------------------------------------------------------- CPU modelling
-    # Slice-accurate replica of repro.sim.cpu.CPU: computations are run
-    # in quantum slices with a dispatch cost per slice, and a preempted
-    # task re-enqueues at the back of its priority class.  Quantum
-    # round-robin is what lets the BB Manager's priority boost reclaim a
-    # core mid-computation — a first-order effect on boot time, not a
-    # detail.
 
     def _enqueue(self, task: "_Task", remaining_ns: int) -> None:
-        if self._batches:
-            # The run queue turning non-empty invalidates the skipped
-            # boundaries of every in-flight batch: at each one, this
-            # arrival could rotate onto the core.
-            self._split_batches()
         heapq.heappush(self._run,
                        (task.priority, self._rseq, task, remaining_ns))
         self._rseq += 1
@@ -367,76 +330,9 @@ class _Machine:
         while self.idle > 0 and self._run:
             _, _, task, remaining_ns = heapq.heappop(self._run)
             self.idle -= 1
-            self._begin_run(task, remaining_ns)
-
-    def _begin_run(self, task: "_Task", remaining_ns: int) -> None:
-        """Put an already-claimed core to work on ``remaining_ns``.
-
-        With contenders queued, exactly one quantum runs before the
-        boundary rotation (plain DES behaviour).  With an empty run
-        queue, every remaining quantum is chained into one batched event:
-        at each skipped boundary the task would re-win its own core, so
-        the outcome is bit-identical *provided nothing else happens
-        first* — and any event pop or run-queue arrival before a skipped
-        boundary splits the batch back to that boundary (see
-        :meth:`_split_batches`), restoring plain stepping exactly.
-        """
-        quantum = self.quantum_ns
-        if remaining_ns <= quantum:
-            self._schedule(self.switch_cost_ns + remaining_ns, task, 0)
-            return
-        if self._run:
-            self._schedule(self.switch_cost_ns + quantum, task,
-                           remaining_ns - quantum)
-            return
-        slices = -(-remaining_ns // quantum)
-        rec = [self.now + remaining_ns + slices * self.switch_cost_ns,
-               self._eseq, task, 0]
-        self._eseq += 1
-        heapq.heappush(self._events, rec)
-        self._batches[id(rec)] = (rec, self.now, remaining_ns)
-
-    def _split_batches(self) -> None:
-        """Collapse every in-flight batch to its next quantum boundary.
-
-        Called at ``self.now`` before anything that can perturb the
-        scheduler (an event firing, an arrival in the run queue).  Each
-        batch keeps only the boundaries already safely in its past; the
-        rest of its work is re-posted as a plain single-slice record at
-        the first boundary at or after ``now``, which re-batches on its
-        own if the queue is still empty when it fires.
-
-        Sequence numbers are chosen so same-instant ties keep the DES
-        order: the first boundary's record reuses the batch's creation
-        seq (that IS the seq the unbatched event would have carried);
-        later boundaries take a fresh seq, which sorts after everything
-        pending — matching the unbatched schedule time of boundary i-1,
-        later than any event scheduled while the batch was whole.
-        """
-        step = self.quantum_ns + self.switch_cost_ns
-        quantum = self.quantum_ns
-        for rec, start, total in self._batches.values():
-            boundary = -((start - self.now) // step)  # ceil((now-start)/step)
-            if boundary < 1:
-                boundary = 1
-            slices = -(-total // quantum)
-            task = rec[2]
-            rec[2] = None  # lazy heap delete
-            if boundary < slices:
-                if boundary == 1:
-                    seq = rec[1]
-                else:
-                    seq = self._eseq
-                    self._eseq += 1
-                heapq.heappush(self._events,
-                               [start + boundary * step, seq, task,
-                                total - boundary * quantum])
-            else:
-                # Only the final partial slice is still in flight: keep
-                # the completion instant, refresh the seq for exact ties.
-                heapq.heappush(self._events, [rec[0], self._eseq, task, 0])
-                self._eseq += 1
-        self._batches.clear()
+            slice_ns = min(remaining_ns, self.quantum_ns)
+            self._schedule(self.switch_cost_ns + slice_ns, task,
+                           remaining_ns - slice_ns)
 
 
 def _acquire(lock: "_Lock"):
@@ -547,7 +443,7 @@ def _startup_tasks_ns(config_tasks: Iterable, defer: bool) -> int:
                if not (defer and task.deferrable))
 
 
-def _load_units_ns(service_engine: ServiceEngine, storage,
+def _load_units_ns(preparser: PreParser, storage,
                    stats: RegistryTextStats, use_preparser: bool) -> int:
     """Serial cost of unit loading: Pre-parser cache or full text parse.
 
@@ -555,7 +451,6 @@ def _load_units_ns(service_engine: ServiceEngine, storage,
     is loaded against, so it is always fresh — the stale-cache fallback
     never triggers and its fingerprint never needs computing.
     """
-    preparser = service_engine.preparser
     if use_preparser:
         blob = max(1, round(stats.total_text_bytes
                             * preparser.cache_compression))
@@ -573,6 +468,33 @@ def _load_units_ns(service_engine: ServiceEngine, storage,
     return total
 
 
+def _serial_prefix(workload: Workload, bb: BBConfig, kernel_config: Any,
+                   preparser: PreParser, text_stats: RegistryTextStats
+                   ) -> tuple[int, int, int, int]:
+    """Kernel stage, manager init, unit loading and init sub-modules.
+
+    Everything before the services phase is strictly serial in the
+    simulator, so each part is a closed-form sum.  ``kernel_config=None``
+    means the workload's own kernel configuration.
+    """
+    platform = workload.platform_factory()
+    if kernel_config is None and workload.kernel_config_factory is not None:
+        kernel_config = workload.kernel_config_factory()
+    core_engine = CoreEngine(
+        platform, bb, kernel_config=kernel_config,
+        initcalls=workload.initcalls_factory(),
+        builtin_initcalls=workload.builtin_initcalls_factory())
+    submodules_ns = 0
+    if not bb.deferred_executor:
+        submodules_ns = sum(compute_wall_ns(task.cpu_ns)
+                            for task in SUBMODULE_TASKS)
+    return (_kernel_stage_ns(core_engine),
+            _startup_tasks_ns(STARTUP_TASKS, bb.defer_startup_tasks),
+            _load_units_ns(preparser, platform.storage, text_stats,
+                           use_preparser=bb.preparser),
+            submodules_ns)
+
+
 # --------------------------------------------------------------------------
 # The service-launch phase.
 
@@ -587,7 +509,7 @@ class _ServiceWorld:
         self.transaction = transaction
         self.storage_ns = storage.read_time_ns
         self.storage_lock = _Lock(wake_cost_ns=0)
-        self.fork_lock = _Lock(wake_cost_ns=1_000)
+        self.fork_lock = _Lock(wake_cost_ns=FORK_WAKE_COST_NS)
         self.rcu_boosted = rcu_boosted
         self.paths: set[str] = set(preexisting_paths)
         self.path_gates: dict[str, "_Gate"] = {}
@@ -597,22 +519,12 @@ class _ServiceWorld:
         self.started_at: dict[str, int] = {}
         self.ready_at: dict[str, int] = {}
         self.completion_ns: int | None = None
-        # Mirrors RCUSubsystem's calibrated constants (the keyword
-        # defaults of its constructor: grace, expedited, conventional
-        # CPU, boosted CPU) plus the lock costs its primitives carry.
-        rcu_defaults = RCUSubsystem.__init__.__defaults__
-        self.rcu = {
-            "grace_ns": rcu_defaults[0],
-            "expedited_ns": rcu_defaults[1],
-            "conventional_cpu_ns": rcu_defaults[2],
-            "boosted_cpu_ns": rcu_defaults[3],
-            "boosted_wake_ns": Mutex.__init__.__defaults__[-1],
-        }
-        spin_defaults = SpinLock.__init__.__defaults__
-        self.rcu_wait_lock = _TicketSpin(acquire_cost_ns=spin_defaults[-1],
-                                         spin_slice_ns=rcu_defaults[4])
-        self.rcu_boost_mutex = _Lock(
-            wake_cost_ns=self.rcu["boosted_wake_ns"], fifo=True)
+        # RCUSubsystem's ticket spinlock and boost mutex, at its defaults.
+        self.rcu_wait_lock = _TicketSpin(
+            acquire_cost_ns=DEFAULT_SPIN_ACQUIRE_COST_NS,
+            spin_slice_ns=DEFAULT_SPIN_SLICE_NS)
+        self.rcu_boost_mutex = _Lock(wake_cost_ns=DEFAULT_WAKE_COST_NS,
+                                     fifo=True)
 
     # ----------------------------------------------------------- primitives
 
@@ -637,16 +549,15 @@ class _ServiceWorld:
         yield ("unlock", self.storage_lock)
 
     def synchronize_rcu(self):
-        rcu = self.rcu
         if self.rcu_boosted:
-            yield ("cpu", rcu["boosted_cpu_ns"])
+            yield ("cpu", DEFAULT_BOOSTED_OP_CPU_NS)
             yield from _acquire(self.rcu_boost_mutex)
-            yield ("sleep", rcu["expedited_ns"])
+            yield ("sleep", DEFAULT_EXPEDITED_GRACE_NS)
             yield ("unlock", self.rcu_boost_mutex)
         else:
-            yield ("cpu", rcu["conventional_cpu_ns"])
+            yield ("cpu", DEFAULT_CONVENTIONAL_OP_CPU_NS)
             yield from self.rcu_wait_lock.acquire()
-            yield ("sleep", rcu["grace_ns"])
+            yield ("sleep", DEFAULT_GRACE_NS)
             self.rcu_wait_lock.release()
 
 
@@ -771,14 +682,14 @@ def _manager_wait(world: "_ServiceWorld", completion_units):
     world.machine.stopped = True
 
 
-def _make_faulter(world: "_ServiceWorld", core_engine: CoreEngine):
+def _make_faulter(world: "_ServiceWorld", workload: Workload, bb: BBConfig):
     """On-demand Modularizer Control: demand-load the driver of a path."""
-    initcalls = core_engine.initcalls
-    completed = set(initcalls.completed)
-    # boot_sequence() already ran for the kernel closed form; everything
-    # it selected executed in-line.
-    completed.update(
-        c.name for c in initcalls.boot_sequence(defer=True))
+    initcalls = CoreEngine(
+        workload.platform_factory(), bb,
+        initcalls=workload.initcalls_factory(),
+        builtin_initcalls=workload.builtin_initcalls_factory()).initcalls
+    # Everything the kernel stage's boot sequence selected ran in-line.
+    completed = {c.name for c in initcalls.boot_sequence(defer=True)}
 
     def faulter(path: str):
         driver = path.rsplit("/", 1)[-1]
@@ -818,37 +729,19 @@ def predict(workload: Workload, bb: BBConfig | None = None,
     bb = bb if bb is not None else BBConfig.none()
     platform = workload.platform_factory()
     cores = cores if cores is not None else platform.cpu_cores
-    storage = platform.storage
-
-    if kernel_config is None and workload.kernel_config_factory is not None:
-        kernel_config = workload.kernel_config_factory()
 
     try:
         registry = workload.fresh_registry()
     except ReproError as exc:
         raise AnalysisError(f"cannot realize workload: {exc}") from exc
-    core_engine = CoreEngine(
-        platform, bb, kernel_config=kernel_config,
-        initcalls=workload.initcalls_factory(),
-        builtin_initcalls=workload.builtin_initcalls_factory())
     service_engine = ServiceEngine(registry, workload.completion_units,
                                    bb, manual_group=manual_bb_group)
-
-    # Serial prefix: kernel, manager init, unit loading, sub-modules.
-    kernel_ns = _kernel_stage_ns(core_engine)
-    from repro.initsys.startup_tasks import STARTUP_TASKS, SUBMODULE_TASKS
-
-    init_init_ns = _startup_tasks_ns(STARTUP_TASKS, bb.defer_startup_tasks)
+    preparser = service_engine.preparser
     if text_stats is None:
-        preparser = service_engine.preparser
         text_stats = registry_text_stats(registry, preparser.parse_base_ns,
                                          preparser.parse_per_byte_ns)
-    load_units_ns = _load_units_ns(service_engine, storage, text_stats,
-                                   use_preparser=bb.preparser)
-    submodules_ns = 0
-    if not bb.deferred_executor:
-        submodules_ns = sum(compute_wall_ns(task.cpu_ns)
-                            for task in SUBMODULE_TASKS)
+    kernel_ns, init_init_ns, load_units_ns, submodules_ns = _serial_prefix(
+        workload, bb, kernel_config, preparser, text_stats)
 
     # The boot transaction, on the post-install-section registry (static
     # builds were already applied by the ServiceEngine constructor).
@@ -870,7 +763,7 @@ def predict(workload: Workload, bb: BBConfig | None = None,
 
     services_start = kernel_ns + init_init_ns + load_units_ns + submodules_ns
     machine = _Machine(cores, services_start)
-    world = _ServiceWorld(machine, transaction, storage,
+    world = _ServiceWorld(machine, transaction, platform.storage,
                           rcu_boosted=bb.rcu_booster,
                           preexisting_paths=set(workload.preexisting_paths))
     for job in transaction.jobs.values():
@@ -881,7 +774,7 @@ def predict(workload: Workload, bb: BBConfig | None = None,
 
     edge_filter = service_engine.edge_filter
     priority_fn = service_engine.priority_fn
-    faulter = (_make_faulter(world, core_engine)
+    faulter = (_make_faulter(world, workload, bb)
                if bb.ondemand_modularizer else None)
     boot_modules = (() if bb.ondemand_modularizer
                     else workload.boot_modules_factory())
@@ -890,13 +783,13 @@ def predict(workload: Workload, bb: BBConfig | None = None,
     # completion gate before any spawned process runs its first step;
     # the kmod worker was spawned before the shepherds.
     machine.start(_Task(_manager_wait(world, workload.completion_units),
-                        _MANAGER_PRIORITY, "init-manager"))
+                        MANAGER_PRIORITY, "init-manager"))
     if boot_modules:
         machine.start(_Task(_kmod_worker(world, boot_modules),
-                            _KMOD_PRIORITY, "kmod-worker"))
+                            KMOD_PRIORITY, "kmod-worker"))
     for job in transaction.jobs.values():
         priority = (priority_fn(job.unit) if priority_fn
-                    else _SERVICE_PRIORITY)
+                    else SERVICE_PRIORITY)
         machine.start(_Task(_shepherd(world, job, edge_filter, faulter),
                             priority, f"job:{job.unit.name}"))
     machine.run(services_start + LIVELOCK_HORIZON_NS)
@@ -1026,29 +919,9 @@ class SweepPredictor:
         key = self._prefix_key(bb)
         parts = self._prefix.get(key)
         if parts is None:
-            wl = self._wl()
-            platform = wl.platform_factory()
-            kernel_config = (wl.kernel_config_factory()
-                             if wl.kernel_config_factory is not None
-                             else None)
-            core_engine = CoreEngine(
-                platform, bb, kernel_config=kernel_config,
-                initcalls=wl.initcalls_factory(),
-                builtin_initcalls=wl.builtin_initcalls_factory())
-            from repro.initsys.startup_tasks import (STARTUP_TASKS,
-                                                     SUBMODULE_TASKS)
-
             engine, stats = self._stats_for(bb.static_bb_group)
-            submodules_ns = 0
-            if not bb.deferred_executor:
-                submodules_ns = sum(compute_wall_ns(task.cpu_ns)
-                                    for task in SUBMODULE_TASKS)
-            parts = (_kernel_stage_ns(core_engine),
-                     _startup_tasks_ns(STARTUP_TASKS,
-                                       bb.defer_startup_tasks),
-                     _load_units_ns(engine, platform.storage, stats,
-                                    use_preparser=bb.preparser),
-                     submodules_ns)
+            parts = _serial_prefix(self._wl(), bb, None, engine.preparser,
+                                   stats)
             self._prefix[key] = parts
         return parts
 
