@@ -31,10 +31,12 @@ recover:
 	PYTHONPATH=src python -m repro recover --smoke
 
 # Closed-form boot prediction (no event loop) for the stock TV boot,
-# plus the smoke design-space sweep it pre-filters.
+# the smoke design-space sweep it pre-filters, and the full `predicted`
+# verify group (predictor vs DES on every scenario and core count).
 predict:
 	PYTHONPATH=src python -m repro predict
 	PYTHONPATH=src python -m repro experiment design-space --smoke
+	PYTHONPATH=src python -m repro verify --only predicted
 
 bench:
 	pytest benchmarks/ --benchmark-only -s
